@@ -15,7 +15,13 @@ import json
 import sys
 from typing import List, Optional
 
-from .analysis import coupon_oracle, read_series_csv, trend_report, write_series_csv
+from .analysis import (
+    MIN_TREND_LENGTH,
+    coupon_oracle,
+    read_series_csv,
+    trend_report,
+    write_series_csv,
+)
 from .config import ConfigError, parse_config
 from .core import derive_stream
 from .harness import run_experiment, validate_spec
@@ -81,6 +87,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         validate_spec(spec)
         if args.workers < 1:
             raise ConfigError("workers must be at least 1")
+        if args.report is not None and spec.iterations < MIN_TREND_LENGTH:
+            raise ConfigError(
+                f"--report requires at least {MIN_TREND_LENGTH} iterations, got {spec.iterations}"
+            )
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -20,6 +20,7 @@ Example::
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Dict, Mapping, Tuple
 
 from .core import EconParams
@@ -80,7 +81,13 @@ def _coerce(value: Any, kind: type, path: str) -> Any:
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path} must be a number")
-        return float(value)
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if not math.isfinite(number):
+            raise ConfigError(f"{path} must be finite")
+        return number
     raise AssertionError(f"unsupported field type {kind!r}")
 
 

@@ -60,6 +60,19 @@ class IterationRecord:
     extra: Dict[str, float] = field(default_factory=dict)
 
 
+def cohort_size(iteration: int, n0: int, alpha: float) -> int:
+    """Size of the day-``iteration`` cohort: floor(n0 / alpha^(iteration-1)).
+
+    A decay factor too large for a float means a cohort of 0, the limit of
+    the law, rather than an OverflowError.
+    """
+    try:
+        decay = alpha ** (iteration - 1)
+    except OverflowError:
+        return 0
+    return int(math.floor(n0 / decay))
+
+
 def derive_stream(master_seed: int, repeat_index: int) -> np.random.Generator:
     """Build the deterministic random stream for one repeat.
 

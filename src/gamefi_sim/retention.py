@@ -18,6 +18,7 @@ import numpy as np
 from .core import (
     EconParams,
     IterationRecord,
+    cohort_size,
     init_productivity_batch,
     mutate_productivity_batch,
 )
@@ -192,7 +193,7 @@ def step(
     i = state.iteration + 1
 
     # (1) arrivals: same decaying cohort law as the synthesis economy, no gate
-    joins = int(math.floor(p.n0 / p.alpha ** (i - 1)))
+    joins = cohort_size(i, p.n0, p.alpha)
     if joins:
         fresh = init_productivity_batch(rng, joins, econ)
         span = p.tolerance_max - p.tolerance_min + 1

@@ -18,6 +18,7 @@ than a foregone conclusion (see ``step``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -27,6 +28,7 @@ import numpy as np
 from .core import (
     EconParams,
     IterationRecord,
+    cohort_size,
     init_productivity_batch,
     mutate_productivity_batch,
 )
@@ -153,7 +155,7 @@ def arrivals(iteration: int, n0: int, alpha: float, gate_open: bool) -> int:
     """Size of the joining cohort: floor(n0 / alpha^(i-1)), zero when gated."""
     if not gate_open:
         return 0
-    return int(math.floor(n0 / alpha ** (iteration - 1)))
+    return cohort_size(iteration, n0, alpha)
 
 
 def should_churn(
@@ -215,6 +217,13 @@ def step(state: ServerFiState, rng: np.random.Generator) -> Tuple[ServerFiState,
     of survivor productivity. Stream consumption per iteration is: one
     normal per joiner, one uniform per lottery draw, one normal per
     survivor, in that order.
+
+    Phase (3) adds every draw to ``counts`` in one dense pass, then
+    rewrites ``counts`` and ``staked`` in place only on the rows that mint.
+    Phase (5) first works out, per missing-count, whether finishing a set
+    costs more than the projected NFT reward; it scans ``counts`` for
+    missing types only when some missing-count is that costly, and skips
+    the scan (nobody can leave) otherwise.
     """
     p = state.params
     econ = state.econ
@@ -260,9 +269,13 @@ def step(state: ServerFiState, rng: np.random.Generator) -> Tuple[ServerFiState,
         frag = draw_fragments(rng, draws_total, p.k)
         owner = np.repeat(np.arange(n), num_draws)
         state.counts += np.bincount(owner * p.k + frag, minlength=n * p.k).reshape(n, p.k)
-    minted = state.counts.min(axis=1) if n else np.zeros(0, dtype=np.int64)
-    state.counts -= minted[:, None]
-    state.staked = state.staked + minted
+    minted = state.counts[:, 0].copy()
+    for col in range(1, p.k):
+        np.minimum(minted, state.counts[:, col], out=minted)
+    minters = np.flatnonzero(minted)
+    minted = minted[minters]
+    state.counts[minters] -= minted[:, None]
+    state.staked[minters] += minted
     nfts_minted = int(minted.sum())
 
     # (4) payout to this iteration's staked cohort
@@ -277,22 +290,26 @@ def step(state: ServerFiState, rng: np.random.Generator) -> Tuple[ServerFiState,
     fragments_departed = 0
     credit_departed = 0.0
     if state.last_per_nft_reward is not None and n:
-        missing = (state.counts == 0).sum(axis=1)
-        remaining_cost = p.lam * p.k * _harmonic_table(p.k)[missing]
-        leave = (state.staked == 0) & (
-            remaining_cost > state.last_per_nft_reward * p.payoff_horizon
+        # indexed by missing-count: True where finishing the set costs more
+        # than the projected reward of the NFT it would mint
+        leave_if_missing = (
+            p.lam * p.k * _harmonic_table(p.k)
+            > state.last_per_nft_reward * p.payoff_horizon
         )
-        departures = int(leave.sum())
-        if departures:
-            fragments_departed = int(state.counts[leave].sum())
-            credit_departed = float(np.sum(state.draw_credit[leave]))
-            keep = ~leave
-            state.ids = state.ids[keep]
-            state.joined_at = state.joined_at[keep]
-            state.productivity = state.productivity[keep]
-            state.draw_credit = state.draw_credit[keep]
-            state.counts = state.counts[keep]
-            state.staked = state.staked[keep]
+        if leave_if_missing.any():
+            missing = (state.counts == 0).sum(axis=1)
+            leave = (state.staked == 0) & leave_if_missing[missing]
+            departures = int(leave.sum())
+    if departures:
+        fragments_departed = int(state.counts[leave].sum())
+        credit_departed = float(np.sum(state.draw_credit[leave]))
+        keep = ~leave
+        state.ids = state.ids[keep]
+        state.joined_at = state.joined_at[keep]
+        state.productivity = state.productivity[keep]
+        state.draw_credit = state.draw_credit[keep]
+        state.counts = state.counts[keep]
+        state.staked = state.staked[keep]
 
     # (6) mutation of survivors
     if state.active_players:
@@ -319,9 +336,15 @@ def step(state: ServerFiState, rng: np.random.Generator) -> Tuple[ServerFiState,
     return state, record
 
 
+@functools.lru_cache(maxsize=None)
 def _harmonic_table(k: int) -> np.ndarray:
-    """H_0..H_k as an array for vectorized remaining-cost lookups."""
+    """H_0..H_k as a read-only array for vectorized remaining-cost lookups.
+
+    Cached per ``k`` (at most 64 entries); the array is shared between
+    callers, so it is frozen against writes.
+    """
     table = np.zeros(k + 1)
     for m in range(1, k + 1):
         table[m] = harmonic(m)
+    table.flags.writeable = False
     return table

@@ -105,6 +105,51 @@ class TestSimulate:
         assert "serverfi.lambda must exceed 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_report_with_too_few_iterations_exits_one_before_simulating(
+        self, config_path, tmp_path, capsys
+    ):
+        out = tmp_path / "run.csv"
+        report_path = tmp_path / "report.json"
+        code = cli_main(
+            [
+                "simulate",
+                "--config", str(config_path),
+                "--out", str(out),
+                "--report", str(report_path),
+                "--iterations", "5",
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "at least 10 iterations" in err
+        assert not out.exists()
+        assert not report_path.exists()
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_number_exits_one(self, tmp_path, capsys, value):
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            '{"model": "serverfi", "econ": {"productivity_init_mean": %s}}' % value,
+            encoding="utf-8",
+        )
+        out = tmp_path / "run.csv"
+        code = cli_main(["simulate", "--config", str(bad), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: econ.productivity_init_mean must be finite\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model", ["serverfi", "retention"])
+    def test_overflowing_cohort_decay_runs(self, tmp_path, model):
+        path = tmp_path / "config.json"
+        config = {"model": model, "iterations": 5, "repeats": 1, model: {"alpha": 1e300}}
+        path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "run.csv"
+        assert cli_main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        assert len(read_series_csv(out)) == 5
+
     def test_missing_config_exits_two(self, tmp_path, capsys):
         code = cli_main(
             ["simulate", "--config", str(tmp_path / "none.json"), "--out", "x.csv"]

@@ -96,6 +96,28 @@ class TestRejections:
             parse_config(doc)
 
 
+class TestNonFiniteNumbers:
+    # json.loads accepts NaN and +-Infinity; one float field per block
+    @pytest.mark.parametrize(
+        "block,key",
+        [
+            ("econ", "productivity_init_mean"),
+            ("serverfi", "lambda"),
+            ("retention", "pool_share"),
+        ],
+    )
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_rejected_with_field_path(self, block, key, value):
+        doc = '{"model": "serverfi", "%s": {"%s": %s}}' % (block, key, value)
+        with pytest.raises(ConfigError, match=rf"^{block}\.{key} must be finite$"):
+            parse_config(doc)
+
+    def test_integer_too_large_for_a_float_rejected(self):
+        doc = '{"model": "serverfi", "serverfi": {"alpha": 1%s}}' % ("0" * 400)
+        with pytest.raises(ConfigError, match=r"^serverfi\.alpha must be finite$"):
+            parse_config(doc)
+
+
 class TestCoercions:
     def test_integers_accepted_for_float_fields(self):
         spec = parse_config('{"model": "serverfi", "serverfi": {"lambda": 2}}')

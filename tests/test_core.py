@@ -1,5 +1,6 @@
 """Stream determinism and productivity-dynamics tests."""
 
+import math
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 
 from gamefi_sim.core import (
     EconParams,
+    cohort_size,
     derive_stream,
     init_productivity,
     init_productivity_batch,
@@ -80,6 +82,20 @@ class TestDeriveStream:
 
     def test_full_64_bit_seed_accepted(self):
         derive_stream(2**64 - 1, 0).random(3)
+
+
+class TestCohortSize:
+    def test_matches_closed_form_for_ordinary_values(self):
+        for n0 in (0, 1, 7, 200, 5000):
+            for alpha in (1.0001, 1.02, 1.1, 1.5, 3.0):
+                for i in range(1, 600):
+                    assert cohort_size(i, n0, alpha) == math.floor(n0 / alpha ** (i - 1))
+
+    def test_overflowed_decay_is_an_empty_cohort(self):
+        assert cohort_size(1, 200, 1e300) == 200
+        assert cohort_size(2, 200, 1e300) == 0
+        assert cohort_size(3, 200, 1e300) == 0
+        assert cohort_size(10**6, 200, 1.5) == 0
 
 
 class TestInitProductivity:

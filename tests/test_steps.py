@@ -111,6 +111,39 @@ def reference_retention_run(params, econ, seed, iterations):
     return records, players
 
 
+def run_serverfi_against_reference(params, econ, seed, iterations):
+    """Run the vectorized step and the scalar reference; assert bit-equality.
+
+    Checks every record (including NFTs minted) and every final state column.
+    Returns the vectorized records and, per iteration, the reward the churn
+    phase projected from (None before the first payout).
+    """
+    state = serverfi.new_state(params, econ)
+    rng = derive_stream(seed, 0)
+    records = []
+    rewards = []
+    for _ in range(iterations):
+        records.append(serverfi.step(state, rng)[1])
+        rewards.append(state.last_per_nft_reward)
+
+    ref_records, ref_players = reference_serverfi_run(params, econ, seed, iterations)
+    assert len(records) == len(ref_records)
+    for record, (i, total, joins, departures, minted) in zip(records, ref_records):
+        assert (record.iteration, record.total_value, record.joins, record.departures) == (
+            i,
+            total,
+            joins,
+            departures,
+        )
+        assert record.extra["nfts_minted"] == minted
+    assert state.ids.tolist() == [p.id for p in ref_players]
+    assert state.productivity.tolist() == [p.productivity for p in ref_players]
+    assert state.draw_credit.tolist() == [p.draw_credit for p in ref_players]
+    assert state.counts.tolist() == [p.counts for p in ref_players]
+    assert state.staked.tolist() == [p.staked_nfts for p in ref_players]
+    return records, rewards
+
+
 class TestServerFiStep:
     def test_single_player_mints_with_one_fragment_type(self):
         # credit reaches 2.0 on the second iteration; with k=1 every draw
@@ -213,20 +246,38 @@ class TestServerFiStep:
         econ = EconParams()
         seed = 77
 
-        state = serverfi.new_state(params, econ)
-        rng = derive_stream(seed, 0)
-        records = [serverfi.step(state, rng)[1] for _ in range(50)]
-
-        ref_records, ref_players = reference_serverfi_run(params, econ, seed, 50)
+        records, _ = run_serverfi_against_reference(params, econ, seed, 50)
         assert sum(r.departures for r in records) > 0
-        for record, (i, total, joins, departures, minted) in zip(records, ref_records):
-            assert (record.total_value, record.joins, record.departures) == (
-                total,
-                joins,
-                departures,
-            )
-        assert state.ids.tolist() == [p.id for p in ref_players]
-        assert state.productivity.tolist() == [p.productivity for p in ref_players]
+
+    def test_matches_scalar_reference_across_both_churn_branches(self):
+        # the projected reward hovers around the cost of a full set, so some
+        # iterations skip the missing-type scan (nobody can afford to leave)
+        # and others run it
+        params = ServerFiParams(
+            lam=1.5, k=4, n0=12, alpha=1.05, staking_share=0.03, payoff_horizon=50
+        )
+        records, rewards = run_serverfi_against_reference(params, EconParams(), 31, 60)
+        full_set = serverfi.expected_remaining_cost(params.k, params.k, params.lam)
+        projected = [r * params.payoff_horizon for r in rewards if r is not None]
+        scanned = sum(full_set > payoff for payoff in projected)
+        skipped = len(projected) - scanned
+        assert scanned > 0 and skipped > 0
+        assert sum(r.departures for r in records) > 0
+
+    def test_matches_scalar_reference_single_fragment_type(self):
+        # k=1: every draw mints at once and counts never hold a fragment
+        params = ServerFiParams(
+            lam=1.5, k=1, n0=12, alpha=1.05, staking_share=0.01, payoff_horizon=5
+        )
+        records, _ = run_serverfi_against_reference(params, EconParams(), 19, 40)
+        assert sum(r.extra["nfts_minted"] for r in records) > 0
+
+    def test_overflowing_cohort_decay_joins_nobody(self):
+        params = ServerFiParams(n0=30, alpha=1e300)
+        state = serverfi.new_state(params, EconParams())
+        rng = derive_stream(2, 0)
+        joins = [serverfi.step(state, rng)[1].joins for _ in range(6)]
+        assert joins == [30, 0, 0, 0, 0, 0]
 
 
 class TestRetentionStep:
@@ -283,6 +334,13 @@ class TestRetentionStep:
             assert not (departed & current)
             previous = current
         assert departed
+
+    def test_overflowing_cohort_decay_joins_nobody(self):
+        params = RetentionParams(n0=30, alpha=1e300)
+        state = retention.new_state(params, EconParams())
+        rng = derive_stream(2, 0)
+        joins = [retention.step(state, rng)[1].joins for _ in range(6)]
+        assert joins == [30, 0, 0, 0, 0, 0]
 
     def test_matches_scalar_reference(self):
         params = RetentionParams(
