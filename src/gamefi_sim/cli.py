@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from .analysis import (
     MIN_TREND_LENGTH,
@@ -55,7 +56,8 @@ def _build_parser() -> _Parser:
     simulate.add_argument("--repeats", type=int, default=None, help="override repeats")
     simulate.add_argument("--report", default=None, help="also write trend metrics as JSON")
     simulate.add_argument("--workers", type=int, default=1,
-                          help="process pool size for repeats (result is identical for any value)")
+                          help="process pool size for repeats, capped at the repeat and CPU counts "
+                               "(result is identical for any value)")
 
     report = sub.add_parser("report", help="recompute trend metrics from a series CSV")
     report.add_argument("--in", dest="source", required=True, help="path to a series CSV")
@@ -65,6 +67,41 @@ def _build_parser() -> _Parser:
     oracle.add_argument("--trials", type=int, required=True, help="simulated collections")
     oracle.add_argument("--seed", type=int, default=0, help="stream seed")
     return parser
+
+
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+
+
+def _write_outputs(outputs: List[Tuple[str, Callable[[str], None]]]) -> None:
+    """Write each ``(destination, write)`` output whole, or leave none.
+
+    Every ``write`` fills a fresh temp file in its destination's directory;
+    only when all of them succeed are they renamed over their destinations.
+    If a write or a rename fails, the temp files and any output already
+    renamed are removed, and the OSError is re-raised naming the destination.
+    """
+    temps: List[str] = []
+    placed: List[str] = []
+    destination = ""
+    try:
+        for index, (destination, write) in enumerate(outputs):
+            folder, name = os.path.split(os.path.abspath(destination))
+            temps.append(os.path.join(folder, f".{name}.{os.getpid()}.{index}.tmp"))
+            write(temps[-1])
+        for temp, (destination, _) in zip(temps, outputs):
+            os.replace(temp, destination)
+            placed.append(destination)
+    except BaseException as exc:
+        for path in temps + placed:
+            try:
+                os.remove(path)
+            except OSError:
+                pass
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, destination) from exc
+        raise
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -95,12 +132,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     series, _ = run_experiment(spec, workers=args.workers)
+    outputs: List[Tuple[str, Callable[[str], None]]] = [
+        (args.out, lambda path: write_series_csv(series, path))
+    ]
+    if args.report is not None:
+        payload = json.dumps(trend_report(series).to_dict(), indent=2) + "\n"
+        outputs.append((args.report, lambda path: _write_text(path, payload)))
     try:
-        write_series_csv(series, args.out)
-        if args.report is not None:
-            payload = json.dumps(trend_report(series).to_dict(), indent=2) + "\n"
-            with open(args.report, "w", encoding="utf-8") as handle:
-                handle.write(payload)
+        _write_outputs(outputs)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO

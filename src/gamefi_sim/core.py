@@ -101,15 +101,18 @@ def init_productivity_batch(
     """Vector form of :func:`init_productivity` for a cohort of ``n`` joiners.
 
     Consumes exactly ``n`` standard normals, bit-identical to ``n``
-    consecutive scalar calls on the same stream. The exponential goes
-    through math.exp per element: numpy's vectorized exp can differ from
-    libm by one ulp, which would break scalar/batch equivalence.
+    consecutive scalar calls on the same stream. ``sigma * z`` and the
+    final ``* mean`` and floor are vectorised: each is one correctly
+    rounded IEEE operation, the same in numpy as in Python. The
+    exponential goes through math.exp per element (mapped over a list of
+    Python floats): numpy's vectorized exp can differ from libm by one
+    ulp, which would break scalar/batch equivalence.
     """
-    z = rng.standard_normal(n)
-    mean = params.productivity_init_mean
-    sigma = params.productivity_init_sigma
-    values = np.array([mean * math.exp(sigma * zi) for zi in z], dtype=np.float64)
-    return np.maximum(values, params.productivity_floor)
+    scaled = rng.standard_normal(n)
+    scaled *= params.productivity_init_sigma
+    values = np.fromiter(map(math.exp, scaled.tolist()), dtype=np.float64, count=n)
+    values *= params.productivity_init_mean
+    return np.maximum(values, params.productivity_floor, out=values)
 
 
 def mutate_productivity(v: float, rng: np.random.Generator, params: EconParams) -> float:
@@ -127,7 +130,14 @@ def mutate_productivity(v: float, rng: np.random.Generator, params: EconParams) 
 def mutate_productivity_batch(
     values: np.ndarray, rng: np.random.Generator, params: EconParams
 ) -> np.ndarray:
-    """Vector form of :func:`mutate_productivity`; one normal per survivor."""
-    z = rng.standard_normal(len(values))
-    eps = np.clip(params.mutation_sigma * z, -0.9, 0.9)
-    return np.maximum(values * (1.0 + eps), params.productivity_floor)
+    """Vector form of :func:`mutate_productivity`; one normal per survivor.
+
+    The arithmetic runs in place on the fresh normal draws, so the only
+    allocation is the returned array; ``values`` is not modified.
+    """
+    out = rng.standard_normal(len(values))
+    out *= params.mutation_sigma
+    np.clip(out, -0.9, 0.9, out=out)
+    out += 1.0
+    out *= values
+    return np.maximum(out, params.productivity_floor, out=out)

@@ -9,6 +9,7 @@ serially or in a process pool with bit-identical output.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import List, Sequence, Tuple
@@ -135,12 +136,14 @@ def run_experiment(
 
     ``workers`` > 1 fans repeats out to a process pool; scheduling cannot
     change the result because each repeat owns an independent stream and
-    aggregation is keyed by repeat index.
+    aggregation is keyed by repeat index. The pool has at most one process
+    per repeat and per CPU: more would only wait.
     """
     validate_spec(spec)
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    if workers == 1 or spec.repeats == 1:
+    workers = min(workers, spec.repeats, os.cpu_count() or 1)
+    if workers == 1:
         results = [run_once(spec, r) for r in range(spec.repeats)]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:

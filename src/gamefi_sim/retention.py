@@ -23,6 +23,10 @@ from .core import (
     mutate_productivity_batch,
 )
 
+# Tolerances are drawn through a float and stored as int64; up to 2**53 both
+# hold every value exactly.
+MAX_TOLERANCE = 2**53
+
 
 @dataclass(frozen=True)
 class RetentionParams:
@@ -57,6 +61,8 @@ class RetentionParams:
             raise ValueError(
                 f"{prefix}.tolerance_min must not exceed {prefix}.tolerance_max"
             )
+        if self.tolerance_max > MAX_TOLERANCE:
+            raise ValueError(f"{prefix}.tolerance_max must be at most 2**53")
         if self.n0 < 0:
             raise ValueError(f"{prefix}.n0 must be non-negative")
         if not self.alpha > 1:
@@ -146,14 +152,61 @@ def update_churn(
     return departed
 
 
+def _ring_totals(ring: np.ndarray) -> np.ndarray:
+    """Column sums of ``ring``, added in numpy's row-sum order.
+
+    Bit-identical to ``np.ascontiguousarray(ring.T).sum(axis=1)``, the
+    row sums of the same matrix stored row-major: numpy's pairwise
+    summation adds a contiguous row sequentially below 8 entries, with 8
+    interleaved accumulators up to 128, and splits longer rows in two
+    (at a multiple of 8). The same adds are made here on whole rows.
+    """
+    count = len(ring)
+    if count > 128:
+        half = count // 2 - (count // 2) % 8
+        return _ring_totals(ring[:half]) + _ring_totals(ring[half:])
+    if count < 8:
+        out = ring[0].copy()
+        rest = ring[1:]
+    else:
+        top = count - count % 8
+        acc = ring[:8].copy()
+        for row in range(8, top, 8):
+            acc += ring[row:row + 8]
+        out = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        rest = ring[top:]
+    for row in rest:
+        out += row
+    return out
+
+
+def _top_indices(totals: np.ndarray, count: int) -> np.ndarray:
+    """Indices of the ``count`` highest totals, best first, ties to the lower index.
+
+    Equal to ``np.lexsort((np.arange(len(totals)), -totals))[:count]``: a
+    partition finds the ``count``-th best total, and a stable sort orders
+    only the indices at or above it (ties at the threshold included),
+    which are already ascending.
+    """
+    neg = -totals
+    threshold = np.partition(neg, count - 1)[count - 1]
+    candidates = np.flatnonzero(neg <= threshold)
+    return candidates[np.argsort(neg[candidates], kind="stable")[:count]]
+
+
 @dataclass
 class RetentionState:
     """Full world state for one repeat, stored column-wise for speed.
 
-    ``window_matrix`` is a per-player ring buffer of the last ``window``
-    contributions; rows are zero-filled at join so a row sum is always
-    the player's trailing-window total. Departed players take their rows
-    (and thus their ledger history) with them.
+    ``window_matrix`` is a ring buffer of the last ``window`` contributions
+    with shape ``(window, n)``: row ``(i - 1) % window`` holds every
+    player's iteration-``i`` contribution, so recording an iteration writes
+    one contiguous row, and a player's trailing-window total is their
+    column sum. Columns are zero-filled at join, and departed players take
+    their columns (and thus their ledger history) with them. ``ids`` is
+    strictly increasing: joiners are appended with fresh ascending ids and
+    departures only delete entries, so a player's index in every column
+    is in id order.
     """
 
     params: RetentionParams
@@ -164,7 +217,7 @@ class RetentionState:
     productivity: np.ndarray = field(default_factory=lambda: np.zeros(0))
     tolerance: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     misses: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    window_matrix: np.ndarray = field(default_factory=lambda: np.zeros((0, 1)))
+    window_matrix: np.ndarray = field(default_factory=lambda: np.zeros((1, 0)))
 
     @property
     def active_players(self) -> int:
@@ -173,7 +226,7 @@ class RetentionState:
 
 def new_state(params: RetentionParams, econ: EconParams) -> RetentionState:
     state = RetentionState(params=params, econ=econ)
-    state.window_matrix = np.zeros((0, params.window))
+    state.window_matrix = np.zeros((params.window, 0))
     return state
 
 
@@ -187,6 +240,12 @@ def step(
     bookkeeping and churn, (5) mutation of survivor productivity. Stream
     consumption per iteration: one normal per joiner, then one uniform per
     joiner (tolerance), then one normal per survivor.
+
+    Ranking orders by window total, highest first, with ties to the lower
+    id. Only the winners are ordered: a partition picks the players at or
+    above the winning threshold and a stable sort ranks those. The stable
+    sort breaks ties by index, which is id order because ``state.ids`` is
+    strictly increasing (see :class:`RetentionState`).
     """
     p = state.params
     econ = state.econ
@@ -203,7 +262,7 @@ def step(
         state.tolerance = np.concatenate([state.tolerance, tol])
         state.misses = np.concatenate([state.misses, np.zeros(joins, dtype=np.int64)])
         state.window_matrix = np.concatenate(
-            [state.window_matrix, np.zeros((joins, p.window))]
+            [state.window_matrix, np.zeros((p.window, joins))], axis=1
         )
         state.next_id += joins
 
@@ -216,14 +275,13 @@ def step(
     window_total_sum = 0.0
     departures = 0
     if n:
-        state.window_matrix[:, (i - 1) % p.window] = state.productivity
+        state.window_matrix[(i - 1) % p.window] = state.productivity
 
         # (3) rank by trailing-window totals, pay the top fraction
-        totals = state.window_matrix.sum(axis=1)
+        totals = _ring_totals(state.window_matrix)
         window_total_sum = float(np.sum(totals))
         winner_count = max(1, int(math.floor(p.top_fraction * n)))
-        order = np.lexsort((state.ids, -totals))
-        winner_idx = order[:winner_count]
+        winner_idx = _top_indices(totals, winner_count)
         pool = p.pool_share * window_total_sum
         if p.equal_split:
             amounts = np.full(winner_count, pool / winner_count)
@@ -236,18 +294,17 @@ def step(
         payout_total = float(np.sum(amounts))
 
         # (4) misses and churn
-        is_winner = np.zeros(n, dtype=bool)
-        is_winner[winner_idx] = True
-        state.misses = np.where(is_winner, 0, state.misses + 1)
+        state.misses += 1
+        state.misses[winner_idx] = 0
         leave = state.misses > state.tolerance
-        departures = int(leave.sum())
+        departures = int(np.count_nonzero(leave))
         if departures:
-            keep = ~leave
-            state.ids = state.ids[keep]
-            state.productivity = state.productivity[keep]
-            state.tolerance = state.tolerance[keep]
-            state.misses = state.misses[keep]
-            state.window_matrix = state.window_matrix[keep]
+            keep = np.flatnonzero(~leave)
+            state.ids = state.ids.take(keep)
+            state.productivity = state.productivity.take(keep)
+            state.tolerance = state.tolerance.take(keep)
+            state.misses = state.misses.take(keep)
+            state.window_matrix = state.window_matrix.take(keep, axis=1)
 
     # (5) mutation of survivors
     if state.active_players:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from gamefi_sim.analysis import read_series_csv, trend_report
+from gamefi_sim import cli
 from gamefi_sim.cli import cli_main
 from gamefi_sim.config import parse_config
 from gamefi_sim.harness import run_experiment
@@ -174,6 +175,80 @@ class TestSimulate:
         )
         assert code == 1
         assert "iterations" in capsys.readouterr().err
+
+
+def simulate_with_report(config_path, out, report):
+    return cli_main(
+        ["simulate", "--config", str(config_path), "--out", str(out), "--report", str(report)]
+    )
+
+
+def error_lines(err):
+    return [line for line in err.splitlines() if line.startswith("error:")]
+
+
+class TestAtomicOutputs:
+    def test_report_in_missing_directory_leaves_no_csv(self, config_path, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        report = tmp_path / "missing_dir" / "report.json"
+        assert simulate_with_report(config_path, out, report) == 2
+        err = capsys.readouterr().err
+        assert len(error_lines(err)) == 1
+        assert "report.json" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_csv_in_missing_directory_leaves_no_report(self, config_path, tmp_path, capsys):
+        out = tmp_path / "missing_dir" / "run.csv"
+        report = tmp_path / "report.json"
+        assert simulate_with_report(config_path, out, report) == 2
+        assert len(error_lines(capsys.readouterr().err)) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_failed_rename_removes_the_outputs_already_placed(
+        self, config_path, tmp_path, capsys
+    ):
+        # a directory at --report: both writes succeed, its rename fails
+        out = tmp_path / "run.csv"
+        report = tmp_path / "report.json"
+        report.mkdir()
+        assert simulate_with_report(config_path, out, report) == 2
+        assert len(error_lines(capsys.readouterr().err)) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "report.json"]
+        assert list(report.iterdir()) == []
+
+    def test_failed_write_keeps_previous_output_intact(
+        self, config_path, tmp_path, capsys, monkeypatch
+    ):
+        out = tmp_path / "run.csv"
+        out.write_text("previous\n", encoding="utf-8")
+
+        def half_write(series, destination):
+            with open(destination, "w", encoding="utf-8") as handle:
+                handle.write("iteration,mean_total")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "write_series_csv", half_write)
+        code = cli_main(["simulate", "--config", str(config_path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert error_lines(err) == [
+            f"error: cannot write output: [Errno 28] No space left on device: '{out}'"
+        ]
+        assert out.read_text(encoding="utf-8") == "previous\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "run.csv"]
+
+    def test_success_replaces_outputs_and_leaves_no_temp_files(self, config_path, tmp_path):
+        out = tmp_path / "run.csv"
+        report = tmp_path / "report.json"
+        out.write_text("previous\n", encoding="utf-8")
+        assert simulate_with_report(config_path, out, report) == 0
+        assert len(read_series_csv(out)) == 25
+        assert json.loads(report.read_text(encoding="utf-8"))["peak_iteration"] >= 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "config.json",
+            "report.json",
+            "run.csv",
+        ]
 
 
 class TestReport:

@@ -1,0 +1,167 @@
+"""Property test: ``simulate`` either runs or fails cleanly, whatever its input.
+
+Hypothesis builds config documents (valid, invalid, mistyped, non-finite,
+malformed JSON) and flag sets. Every call must return 0, 1 or 2, raise
+nothing, warn nothing and, on failure, print exactly one ``error:`` line and
+leave no output or temp file behind.
+
+Values that set how much work a run does (population ``n0``, ``window``,
+productivity, mutation noise, iterations, repeats, workers) stay small, so
+the property runs in seconds; every other field also gets huge and
+non-finite values.
+"""
+
+import contextlib
+import io
+import json
+import math
+import os
+import tempfile
+import warnings
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from gamefi_sim.cli import cli_main  # noqa: E402
+
+BAD_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=4),
+    st.lists(st.integers(-3, 3), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=1),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+HUGE_INTS = st.sampled_from([2**53, 2**63 - 1, 2**63, 2**64, 10**30])
+HUGE_FLOATS = st.sampled_from([1e300, 1.7976931348623157e308])
+
+# In-domain values for every config field. The ones that size the run stay
+# small; the others also take huge values.
+FIELDS = {
+    "econ": {
+        "productivity_init_mean": st.floats(1e-3, 3),
+        "productivity_init_sigma": st.floats(0, 1),
+        "mutation_sigma": st.floats(0, 0.5),
+        "productivity_floor": st.floats(1e-300, 3),
+    },
+    "serverfi": {
+        "lambda": st.one_of(st.floats(1.001, 20), HUGE_FLOATS),
+        "k": st.integers(1, 64),
+        "n0": st.integers(0, 60),
+        "alpha": st.one_of(st.floats(1.001, 3), HUGE_FLOATS),
+        "staking_share": st.floats(0, 1),
+        "payoff_horizon": st.one_of(st.integers(1, 100), HUGE_INTS),
+    },
+    "retention": {
+        "top_fraction": st.floats(1e-3, 1),
+        "pool_share": st.floats(0, 1),
+        "window": st.integers(1, 300),
+        "tolerance_min": st.one_of(st.integers(1, 12), HUGE_INTS),
+        "tolerance_max": st.one_of(st.integers(1, 12), HUGE_INTS),
+        "n0": st.integers(0, 60),
+        "alpha": st.one_of(st.floats(1.001, 3), HUGE_FLOATS),
+        "equal_split": st.booleans(),
+    },
+}
+SIZING = {"iterations", "repeats", "n0", "window", "productivity_init_mean",
+          "productivity_init_sigma", "mutation_sigma", "productivity_floor"}
+PATHS = [("model",), ("master_seed",), ("iterations",), ("repeats",)] + [
+    (block, key) for block, fields in FIELDS.items() for key in fields
+] + [(block,) for block in FIELDS]
+
+
+def bad_value(key):
+    """An out-of-domain value; one that sizes the run is never huge."""
+    if key in SIZING:
+        return st.one_of(BAD_SCALARS, st.integers(-3, 0), st.floats(-3, 0))
+    return st.one_of(BAD_SCALARS, st.integers(-(10**30), 10**30), st.floats())
+
+
+@st.composite
+def documents(draw):
+    """A config document: valid, or valid but for one defect."""
+    doc = {
+        "model": draw(st.sampled_from(["serverfi", "retention"])),
+        "iterations": draw(st.integers(1, 12)),
+        "repeats": draw(st.integers(1, 3)),
+    }
+    if draw(st.booleans()):
+        doc["master_seed"] = draw(st.integers(0, 2**64 - 1))
+    for block, fields in FIELDS.items():
+        doc[block] = draw(st.fixed_dictionaries({}, optional=fields))
+    if doc["retention"].get("tolerance_min", 0) > doc["retention"].get("tolerance_max", 2**70):
+        doc["retention"]["tolerance_max"] = doc["retention"]["tolerance_min"]
+    defect = draw(st.sampled_from(["none", "none", "value", "unknown_key", "no_model", "text"]))
+    if defect == "text":
+        return draw(st.text(max_size=20))
+    path = draw(st.sampled_from(PATHS))
+    *parents, key = path
+    target = doc[parents[0]] if parents else doc
+    if defect == "value":
+        target[key] = draw(bad_value(key))
+    elif defect == "unknown_key":
+        target[key + "_typo"] = 1
+    elif defect == "no_model":
+        # the one required key (a missing run size would fall back to 500 x 100)
+        doc.pop("model")
+    return json.dumps(doc)
+
+
+FLAGS = {
+    "--seed": st.integers(0, 2**64 - 1),
+    "--iterations": st.integers(1, 12),
+    "--repeats": st.integers(1, 3),
+    "--workers": st.integers(1, 3),
+}
+MALFORMED = ["", "x", "1.5", "-1", "0"]
+# out of range, but not run-sizing: a huge --iterations or --repeats is valid
+BAD_FLAGS = {"--seed": MALFORMED + [str(2**64)], "--workers": MALFORMED + [str(2**64)]}
+
+
+@st.composite
+def flags(draw):
+    """Override flags, each valid, or one of them malformed or out of range."""
+    values = draw(st.fixed_dictionaries({}, optional={f: s.map(str) for f, s in FLAGS.items()}))
+    if draw(st.booleans()):
+        flag = draw(st.sampled_from(sorted(FLAGS)))
+        values[flag] = draw(st.sampled_from(BAD_FLAGS.get(flag, MALFORMED)))
+    return [part for flag, value in values.items() for part in (flag, value)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    document=documents(),
+    extra=flags(),
+    report=st.booleans(),
+    out_dir=st.sampled_from(["", "missing"]),
+)
+def test_simulate_exits_cleanly_and_never_leaves_partial_output(
+    document, extra, report, out_dir
+):
+    with tempfile.TemporaryDirectory() as root:
+        config = os.path.join(root, "config.json")
+        with open(config, "w", encoding="utf-8") as handle:
+            handle.write(document)
+        out = os.path.join(root, out_dir, "run.csv")
+        argv = ["simulate", "--config", config, "--out", out] + extra
+        if report:
+            argv += ["--report", os.path.join(root, "report.json")]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli_main(argv)
+        err = stderr.getvalue()
+        left = sorted(os.listdir(root))
+
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == ""
+        assert left == sorted(["config.json", "run.csv"] + (["report.json"] if report else []))
+    else:
+        assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+        assert left == ["config.json"]

@@ -128,6 +128,21 @@ class TestInitProductivity:
         scalar = [init_productivity(rng, params) for _ in range(8)]
         assert batch.tolist() == scalar
 
+    @pytest.mark.parametrize("n", [1, 10_000])
+    @pytest.mark.parametrize(
+        "mean, sigma",
+        [(1.0, 0.5), (3.7, 0.5), (0.25, 0.0), (0.02, 3.0)],
+        ids=["default", "mean_3.7", "sigma_0", "floor_binds"],
+    )
+    def test_batch_matches_scalar_bit_for_bit(self, mean, sigma, n):
+        params = EconParams(productivity_init_mean=mean, productivity_init_sigma=sigma)
+        batch = init_productivity_batch(derive_stream(13, 0), n, params)
+        rng = derive_stream(13, 0)
+        scalar = [init_productivity(rng, params) for _ in range(n)]
+        assert batch.tolist() == scalar
+        if mean == 0.02 and n > 1:
+            assert (batch == params.productivity_floor).any()
+
 
 class TestMutateProductivity:
     def test_zero_sigma_is_identity(self):
@@ -171,6 +186,23 @@ class TestMutateProductivity:
         rng = derive_stream(8, 0)
         scalar = [mutate_productivity(v, rng, params) for v in values]
         assert batch.tolist() == scalar
+
+    @pytest.mark.parametrize("n", [1, 10_000])
+    @pytest.mark.parametrize("sigma", [0.0, 0.2, 5.0], ids=["sigma_0", "sigma_0.2", "clip_binds"])
+    def test_batch_matches_scalar_bit_for_bit(self, sigma, n):
+        params = EconParams(mutation_sigma=sigma, productivity_floor=0.05)
+        values = derive_stream(14, 1).lognormal(sigma=1.5, size=n)
+        before = values.copy()
+        batch = mutate_productivity_batch(values, derive_stream(14, 0), params)
+        rng = derive_stream(14, 0)
+        scalar = [mutate_productivity(v, rng, params) for v in values.tolist()]
+        assert batch.tolist() == scalar
+        assert values.tolist() == before.tolist()
+        if sigma == 5.0 and n > 1:
+            # both clip bounds and the floor are reached
+            assert np.isclose(batch / values, 0.1).any()
+            assert np.isclose(batch / values, 1.9).any()
+            assert (batch == params.productivity_floor).any()
 
 
 class TestEconParamsValidation:

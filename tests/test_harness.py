@@ -2,6 +2,7 @@
 
 import pytest
 
+from gamefi_sim import harness
 from gamefi_sim.core import IterationRecord
 from gamefi_sim.harness import (
     AggregateSeries,
@@ -142,6 +143,31 @@ class TestRunExperiment:
     def test_workers_validated(self):
         with pytest.raises(ValueError, match="workers"):
             run_experiment(SMALL_SERVERFI, workers=0)
+
+    @pytest.mark.parametrize("repeats, cpus, expected", [(5, 3, 3), (2, 8, 2)])
+    def test_pool_has_at_most_one_process_per_repeat_and_cpu(
+        self, monkeypatch, repeats, cpus, expected
+    ):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        spec = SMALL_RETENTION.with_overrides(repeats=repeats)
+        assert run_experiment(spec, workers=2**64) == run_experiment(spec)
+        assert sizes == [expected]
 
 
 class TestAggregateSeriesShape:

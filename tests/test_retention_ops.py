@@ -128,6 +128,7 @@ class TestRetentionParamsValidation:
             (dict(tolerance_min=5, tolerance_max=4), "tolerance_min must not exceed"),
             (dict(alpha=0.9), "alpha must exceed 1"),
             (dict(n0=-2), "n0 must be non-negative"),
+            (dict(tolerance_max=2**53 + 1), "tolerance_max must be at most 2\\*\\*53"),
         ],
     )
     def test_rejects_out_of_range(self, kwargs, fragment):

@@ -7,7 +7,9 @@ for the synthesis economy, and up to summation rounding for the retention
 economy's window totals.
 """
 
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -142,6 +144,20 @@ def run_serverfi_against_reference(params, econ, seed, iterations):
     assert state.counts.tolist() == [p.counts for p in ref_players]
     assert state.staked.tolist() == [p.staked_nfts for p in ref_players]
     return records, rewards
+
+
+def retention_digest(params, econ, seed, iterations):
+    """sha256 of a retention run: every record, the final ids, productivity,
+    tolerance and misses columns (with dtypes) and the next stream value."""
+    state = retention.new_state(params, econ)
+    rng = derive_stream(seed, 0)
+    records = [retention.step(state, rng)[1] for _ in range(iterations)]
+    digest = hashlib.sha256(repr(records).encode())
+    for column in (state.ids, state.productivity, state.tolerance, state.misses):
+        digest.update(str(column.dtype).encode())
+        digest.update(column.tobytes())
+    digest.update(repr(rng.random()).encode())
+    return digest.hexdigest()
 
 
 class TestServerFiStep:
@@ -342,6 +358,16 @@ class TestRetentionStep:
         joins = [retention.step(state, rng)[1].joins for _ in range(6)]
         assert joins == [30, 0, 0, 0, 0, 0]
 
+    def test_largest_tolerances_are_drawn_in_range(self):
+        params = RetentionParams(n0=50, tolerance_min=2**53 - 9, tolerance_max=2**53)
+        params.validate()
+        state = retention.new_state(params, EconParams())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            retention.step(state, derive_stream(3, 0))
+        assert state.tolerance.min() >= params.tolerance_min
+        assert state.tolerance.max() <= params.tolerance_max
+
     def test_matches_scalar_reference(self):
         params = RetentionParams(
             top_fraction=0.3,
@@ -373,3 +399,118 @@ class TestRetentionStep:
         assert state.productivity.tolist() == [p.productivity for p in ref_players]
         assert state.misses.tolist() == [p.consecutive_misses for p in ref_players]
         assert state.tolerance.tolist() == [p.tolerance for p in ref_players]
+
+
+# Digests of whole retention runs, frozen from the row-major ring and the
+# full lexsort ranking that the current step replaced. Each case churns
+# players out (except top_fraction=1.0, where everyone always wins), and the
+# windows cover numpy's sequential (<8), 8-accumulator (8-128) and split
+# (>128) summation orders.
+FROZEN_RETENTION_RUNS = {
+    "window1": (
+        dict(window=1, n0=60, alpha=1.03),
+        {}, 31, 80,
+        "eda3f8beb10654c6e0cc40535396448310e025bdb6a9ba8f8d3e8f7bc544fce9",
+    ),
+    "window5": (
+        dict(window=5, n0=60, alpha=1.03),
+        {}, 32, 80,
+        "080537d6beacdbd94654caba5688daeabedf95a7509ed01c57d047983c7177de",
+    ),
+    "window8": (
+        dict(window=8, n0=60, alpha=1.03),
+        {}, 33, 80,
+        "c8b12e605d2707b35d196541e225ab9b364f01f5af26fab76b59c8fde0eae48a",
+    ),
+    "window9": (
+        dict(window=9, n0=60, alpha=1.03, tolerance_min=10, tolerance_max=20),
+        {}, 34, 80,
+        "2c748cd2df6d1b1b03e789db4653c648c61154331bf81db0191fe60278222533",
+    ),
+    "window17": (
+        dict(window=17, n0=60, alpha=1.03, tolerance_min=10, tolerance_max=20),
+        {}, 35, 80,
+        "c5be6c8b865eee0934ce3e790f36211b88b32eb2a4fa564b3c8dfbe087ac7b93",
+    ),
+    "window130": (
+        dict(window=130, n0=40, alpha=1.03, tolerance_min=30, tolerance_max=60),
+        {}, 36, 160,
+        "12752cc2f8856d4d2f0aebd5089064a0e4654c7bc525c4b8bfc9aa5e31882f55",
+    ),
+    "window200": (
+        dict(window=200, n0=40, alpha=1.03, tolerance_min=30, tolerance_max=60),
+        {}, 37, 230,
+        "7682ac0e0032ebc1a8e30086cb7b8080c9478311bd05a6d6216dcd1417c5892c",
+    ),
+    "top_fraction_0.05": (
+        dict(top_fraction=0.05, n0=120, alpha=1.03),
+        {}, 38, 80,
+        "6eba8bdfa50faa8a6f852e716f370173aa3345ac92fda84e657d1ac8bdd8da1e",
+    ),
+    "top_fraction_1.0": (
+        dict(top_fraction=1.0, n0=60, alpha=1.03),
+        {}, 39, 80,
+        "dcc3cdcb8ef33008b853c75f7d3ad46ef9f2ba61ec30cb1936ab3db639cdf6e7",
+    ),
+    "equal_split": (
+        dict(equal_split=True, n0=60, alpha=1.03),
+        {}, 40, 80,
+        "91ca53fb46e024b88dd095eefc08101d132ae52ea7b16189739a0d1a09388640",
+    ),
+    "zero_sigma_ties": (
+        dict(n0=60, alpha=1.03),
+        dict(productivity_init_sigma=0.0, mutation_sigma=0.0), 41, 80,
+        "7f40ba3cf1d4ad6cc3499679bf46366132edb9777b17f4516378bf3c424daaba",
+    ),
+    "n0_3": (
+        dict(n0=3, alpha=1.02, tolerance_min=1, tolerance_max=2),
+        {}, 42, 80,
+        "e229fa590c3c7d4e47555b6004f14131fc59c6efe77c019fb8c989e1d1ebcab4",
+    ),
+}
+
+
+class TestRetentionBitIdentity:
+    @pytest.mark.parametrize("case", sorted(FROZEN_RETENTION_RUNS))
+    def test_run_matches_frozen_digest(self, case):
+        params, econ, seed, iterations, expected = FROZEN_RETENTION_RUNS[case]
+        digest = retention_digest(
+            RetentionParams(**params), EconParams(**econ), seed, iterations
+        )
+        assert digest == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 10, 100, 1_000, 40_000])
+    def test_top_indices_equal_full_lexsort_under_heavy_ties(self, n):
+        rng = np.random.default_rng(n)
+        rows = np.arange(n)
+        # four distinct totals (one of them -0.0 against 0.0): every
+        # threshold falls inside a tie group
+        totals = np.array([0.0, -0.0, 1.5, 3.25])[rng.integers(0, 4, n)]
+        for count in sorted({1, max(1, n // 5), max(1, n // 2), n}):
+            expected = np.lexsort((rows, -totals))[:count]
+            assert retention._top_indices(totals, count).tolist() == expected.tolist()
+
+    def test_top_indices_equal_full_lexsort_on_distinct_totals(self):
+        rng = np.random.default_rng(5)
+        totals = rng.lognormal(size=5_000)
+        expected = np.lexsort((np.arange(5_000), -totals))[:1_000]
+        assert retention._top_indices(totals, 1_000).tolist() == expected.tolist()
+
+    def test_ring_totals_equal_row_major_sum_for_every_window(self):
+        rng = np.random.default_rng(11)
+        for window in range(1, 301):
+            row_major = rng.lognormal(sigma=2.0, size=(13, window))
+            expected = row_major.sum(axis=1)
+            got = retention._ring_totals(np.ascontiguousarray(row_major.T))
+            assert got.tobytes() == expected.tobytes(), window
+
+    def test_ids_stay_strictly_increasing_through_churn(self):
+        params = RetentionParams(n0=40, alpha=1.03, tolerance_min=1, tolerance_max=3)
+        state = retention.new_state(params, EconParams())
+        rng = derive_stream(12, 0)
+        departures = 0
+        for _ in range(80):
+            departures += retention.step(state, rng)[1].departures
+            assert (np.diff(state.ids) > 0).all()
+            assert state.window_matrix.shape == (params.window, state.active_players)
+        assert departures > 0
