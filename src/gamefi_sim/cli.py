@@ -131,7 +131,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    series, _ = run_experiment(spec, workers=args.workers)
+    try:
+        # a run can still fail validation midway, e.g. on too many lottery draws
+        series, _ = run_experiment(spec, workers=args.workers)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     outputs: List[Tuple[str, Callable[[str], None]]] = [
         (args.out, lambda path: write_series_csv(series, path))
     ]

@@ -88,10 +88,25 @@ def derive_stream(master_seed: int, repeat_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
+def _sigma_overflow(params: EconParams) -> ValueError:
+    return ValueError(
+        f"econ.productivity_init_sigma={params.productivity_init_sigma:g} is too large: "
+        "an entry productivity exp(sigma * z) overflows a float"
+    )
+
+
 def init_productivity(rng: np.random.Generator, params: EconParams) -> float:
-    """Draw one entry productivity: log-normal with median ``init_mean``."""
+    """Draw one entry productivity: log-normal with median ``init_mean``.
+
+    Raises ValueError naming ``econ.productivity_init_sigma`` when
+    ``exp(sigma * z)`` overflows a float.
+    """
     z = rng.standard_normal()
-    value = params.productivity_init_mean * math.exp(params.productivity_init_sigma * z)
+    try:
+        growth = math.exp(params.productivity_init_sigma * z)
+    except OverflowError:
+        raise _sigma_overflow(params) from None
+    value = params.productivity_init_mean * growth
     return max(value, params.productivity_floor)
 
 
@@ -106,11 +121,15 @@ def init_productivity_batch(
     rounded IEEE operation, the same in numpy as in Python. The
     exponential goes through math.exp per element (mapped over a list of
     Python floats): numpy's vectorized exp can differ from libm by one
-    ulp, which would break scalar/batch equivalence.
+    ulp, which would break scalar/batch equivalence. An overflowing
+    exponential raises the same ValueError as the scalar form.
     """
     scaled = rng.standard_normal(n)
     scaled *= params.productivity_init_sigma
-    values = np.fromiter(map(math.exp, scaled.tolist()), dtype=np.float64, count=n)
+    try:
+        values = np.fromiter(map(math.exp, scaled.tolist()), dtype=np.float64, count=n)
+    except OverflowError:
+        raise _sigma_overflow(params) from None
     values *= params.productivity_init_mean
     return np.maximum(values, params.productivity_floor, out=values)
 

@@ -19,6 +19,13 @@ from .core import MAX_SEED, EconParams, IterationRecord, derive_stream
 
 MODELS = ("serverfi", "retention")
 
+# Run budget, checked before simulating. MAX_STATE_BYTES bounds the
+# population's state columns (the step's temporaries take a few times as
+# much); MAX_RECORDS bounds the iteration x repeat records an experiment
+# holds, one to two KiB each.
+MAX_STATE_BYTES = 2**30
+MAX_RECORDS = 2**20
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -73,6 +80,36 @@ def validate_spec(spec: ExperimentSpec) -> None:
         raise ValueError("repeats must be at least 1")
     if not 0 <= spec.master_seed < MAX_SEED:
         raise ValueError("master_seed must be a non-negative 64-bit integer")
+    _check_budget(spec)
+
+
+def _check_budget(spec: ExperimentSpec) -> None:
+    """Refuse a run whose state or records would exceed the run budget.
+
+    Cohorts shrink geometrically, so at most ``n0 * min(iterations,
+    ceil(alpha / (alpha - 1)))`` players ever join; each holds 8 bytes per
+    state column: ids, productivity, draw credit, staked and the ``k``
+    fragment counts for serverfi, ids, productivity, tolerance, misses and
+    the ``window`` ring for retention. The budget counts at least one
+    player, so an oversized ring is refused even with no arrivals.
+    """
+    if spec.iterations * spec.repeats > MAX_RECORDS:
+        raise ValueError(
+            f"run budget exceeded: iterations x repeats = {spec.iterations} x {spec.repeats} "
+            f"is more than {MAX_RECORDS} records"
+        )
+    if spec.model == "serverfi":
+        params, columns = spec.serverfi, spec.serverfi.k + 4
+    else:
+        params, columns = spec.retention, spec.retention.window + 4
+    player_bytes = 8 * columns
+    cohorts = min(spec.iterations, math.ceil(params.alpha / (params.alpha - 1)))
+    players = max(params.n0 * cohorts, 1)
+    if players * player_bytes > MAX_STATE_BYTES:
+        raise ValueError(
+            f"run budget exceeded: up to {players} {spec.model} players x {player_bytes} "
+            f"bytes of state is more than {MAX_STATE_BYTES} bytes"
+        )
 
 
 def run_once(spec: ExperimentSpec, repeat_index: int) -> List[IterationRecord]:

@@ -33,6 +33,12 @@ from .core import (
     mutate_productivity_batch,
 )
 
+# Most lottery draws one iteration may take (about 0.5 GiB of draw arrays).
+# A larger draw count means a productivity far beyond any meaningful run; the
+# step refuses it with a ValueError instead of exhausting memory or wrapping
+# the int64 draw count.
+MAX_DRAWS_PER_ITERATION = 2**24
+
 
 @dataclass(frozen=True)
 class ServerFiParams:
@@ -178,10 +184,22 @@ def should_churn(
 class ServerFiState:
     """Full world state for one repeat, stored column-wise for speed.
 
-    Row ``j`` of every array describes one active player; departed players
-    are dropped. ``last_per_nft_reward`` is None until the first payout
-    event: with no observed reward to project from, rational agents have no
-    basis to stay out (the gate is open) or to quit (churn is inactive).
+    Entry ``j`` of every per-player array (column ``j`` of ``by_type``)
+    describes one active player; departed players are dropped.
+    ``last_per_nft_reward`` is None until the first payout event: with no
+    observed reward to project from, rational agents have no basis to stay
+    out (the gate is open) or to quit (churn is inactive).
+
+    Fragment counts are stored column-major: ``by_type`` is a C-contiguous
+    ``(k, n)`` array whose row ``t`` holds every player's count of type
+    ``t``, and ``counts`` is its ``(n, k)`` transposed view. Each per-type
+    pass of the step (the mint minimum, the missing-type scan) then reads
+    one contiguous row, and the lottery scatter-adds into the flat view
+    ``by_type.reshape(-1)`` at ``type * n + player``. That flat view is a
+    view only while ``by_type`` is C-contiguous: otherwise ``reshape``
+    copies and the fragments added to the copy are lost. So ``by_type`` is
+    only ever replaced by a fresh C-contiguous array (``np.concatenate``
+    on axis 1, ``compress`` on axis 1), never by a ``[:, mask]`` selection.
     """
 
     params: ServerFiParams
@@ -190,20 +208,24 @@ class ServerFiState:
     next_id: int = 0
     last_per_nft_reward: Optional[float] = None
     ids: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    joined_at: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     productivity: np.ndarray = field(default_factory=lambda: np.zeros(0))
     draw_credit: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    counts: np.ndarray = field(default_factory=lambda: np.zeros((0, 1), dtype=np.int64))
+    by_type: np.ndarray = field(default_factory=lambda: np.zeros((1, 0), dtype=np.int64))
     staked: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
     @property
     def active_players(self) -> int:
         return len(self.ids)
 
+    @property
+    def counts(self) -> np.ndarray:
+        """Per-player fragment counts, ``(n, k)``: the view ``by_type.T``."""
+        return self.by_type.T
+
 
 def new_state(params: ServerFiParams, econ: EconParams) -> ServerFiState:
     state = ServerFiState(params=params, econ=econ)
-    state.counts = np.zeros((0, params.k), dtype=np.int64)
+    state.by_type = np.zeros((params.k, 0), dtype=np.int64)
     return state
 
 
@@ -218,12 +240,17 @@ def step(state: ServerFiState, rng: np.random.Generator) -> Tuple[ServerFiState,
     normal per joiner, one uniform per lottery draw, one normal per
     survivor, in that order.
 
-    Phase (3) adds every draw to ``counts`` in one dense pass, then
-    rewrites ``counts`` and ``staked`` in place only on the rows that mint.
-    Phase (5) first works out, per missing-count, whether finishing a set
-    costs more than the projected NFT reward; it scans ``counts`` for
-    missing types only when some missing-count is that costly, and skips
-    the scan (nobody can leave) otherwise.
+    Phase (3) converts credit to draws in float (``floor`` of the credit
+    over ``lam``, exact below 2**53) and refuses, with a ValueError, an
+    iteration whose draws exceed :data:`MAX_DRAWS_PER_ITERATION`. The
+    draws are dealt to players in row order and scatter-added into
+    ``by_type`` with ``np.add.at``, which counts a cell hit several times
+    once per hit. The mint count is the per-column minimum over the k
+    type rows, and ``by_type`` and ``staked`` are rewritten only on the
+    columns that mint. Phase (5) first works out, per missing-count,
+    whether finishing a set costs more than the projected NFT reward; it
+    scans ``by_type`` for missing types only when some missing-count is
+    that costly, and skips the scan (nobody can leave) otherwise.
     """
     p = state.params
     econ = state.econ
@@ -239,42 +266,52 @@ def step(state: ServerFiState, rng: np.random.Generator) -> Tuple[ServerFiState,
     if joins:
         fresh = init_productivity_batch(rng, joins, econ)
         state.ids = np.concatenate([state.ids, np.arange(state.next_id, state.next_id + joins)])
-        state.joined_at = np.concatenate([state.joined_at, np.full(joins, i, dtype=np.int64)])
         state.productivity = np.concatenate([state.productivity, fresh])
         state.draw_credit = np.concatenate([state.draw_credit, np.zeros(joins)])
-        state.counts = np.concatenate([state.counts, np.zeros((joins, p.k), dtype=np.int64)])
+        state.by_type = np.concatenate(
+            [state.by_type, np.zeros((p.k, joins), dtype=np.int64)], axis=1
+        )
         state.staked = np.concatenate([state.staked, np.zeros(joins, dtype=np.int64)])
         state.next_id += joins
 
     n = state.active_players
+    by_type = state.by_type
 
     # (2) contributions
     total_value = float(np.sum(state.productivity))
 
     # (3) draws, lottery, synthesis (minted NFTs stake immediately)
-    total_credit = state.draw_credit + state.productivity
-    num_draws = np.floor(total_credit / p.lam).astype(np.int64)
-    new_credit = total_credit - num_draws * p.lam
-    neg = new_credit < 0.0
+    credit = state.draw_credit + state.productivity
+    num_draws = credit / p.lam
+    np.floor(num_draws, out=num_draws)
+    credit -= num_draws * p.lam
+    neg = credit < 0.0
     if neg.any():
         num_draws[neg] -= 1
-        new_credit[neg] += p.lam
-    over = new_credit >= p.lam
+        credit[neg] += p.lam
+    over = credit >= p.lam
     if over.any():
         num_draws[over] += 1
-        new_credit[over] -= p.lam
-    state.draw_credit = new_credit
-    draws_total = int(num_draws.sum())
+        credit[over] -= p.lam
+    draws_total = float(num_draws.sum())
+    if not draws_total <= MAX_DRAWS_PER_ITERATION:
+        raise ValueError(
+            f"serverfi iteration {i} needs {draws_total:.6g} lottery draws, more than "
+            f"the limit of {MAX_DRAWS_PER_ITERATION} per iteration; lower the "
+            "econ.productivity_* values or raise serverfi.lambda"
+        )
+    draws_total = int(draws_total)
+    state.draw_credit = credit
     if draws_total:
         frag = draw_fragments(rng, draws_total, p.k)
-        owner = np.repeat(np.arange(n), num_draws)
-        state.counts += np.bincount(owner * p.k + frag, minlength=n * p.k).reshape(n, p.k)
-    minted = state.counts[:, 0].copy()
-    for col in range(1, p.k):
-        np.minimum(minted, state.counts[:, col], out=minted)
-    minters = np.flatnonzero(minted)
+        drawers = np.flatnonzero(num_draws > 0)
+        frag *= n
+        frag += np.repeat(drawers, num_draws[drawers].astype(np.int64))
+        np.add.at(by_type.reshape(-1), frag, 1)
+    minted = by_type.min(axis=0)
+    minters = np.flatnonzero(minted > 0)
     minted = minted[minters]
-    state.counts[minters] -= minted[:, None]
+    by_type[:, minters] -= minted
     state.staked[minters] += minted
     nfts_minted = int(minted.sum())
 
@@ -297,18 +334,17 @@ def step(state: ServerFiState, rng: np.random.Generator) -> Tuple[ServerFiState,
             > state.last_per_nft_reward * p.payoff_horizon
         )
         if leave_if_missing.any():
-            missing = (state.counts == 0).sum(axis=1)
+            missing = (by_type == 0).sum(axis=0)
             leave = (state.staked == 0) & leave_if_missing[missing]
             departures = int(leave.sum())
     if departures:
-        fragments_departed = int(state.counts[leave].sum())
+        fragments_departed = int(by_type.compress(leave, axis=1).sum())
         credit_departed = float(np.sum(state.draw_credit[leave]))
         keep = ~leave
         state.ids = state.ids[keep]
-        state.joined_at = state.joined_at[keep]
         state.productivity = state.productivity[keep]
         state.draw_credit = state.draw_credit[keep]
-        state.counts = state.counts[keep]
+        state.by_type = by_type.compress(keep, axis=1)
         state.staked = state.staked[keep]
 
     # (6) mutation of survivors
@@ -327,7 +363,7 @@ def step(state: ServerFiState, rng: np.random.Generator) -> Tuple[ServerFiState,
             "staked_total": float(state.staked.sum()),
             "per_nft_reward": reward,
             "draws": float(draws_total),
-            "inventory_total": float(state.counts.sum()),
+            "inventory_total": float(state.by_type.sum()),
             "fragments_departed": float(fragments_departed),
             "draw_credit_total": float(np.sum(state.draw_credit)),
             "credit_departed": credit_departed,

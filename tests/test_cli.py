@@ -187,6 +187,55 @@ def error_lines(err):
     return [line for line in err.splitlines() if line.startswith("error:")]
 
 
+class TestRuntimeGuards:
+    """Inputs that pass parsing but fail in the run exit 1 with one line."""
+
+    def simulate(self, tmp_path, config, *flags):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "run.csv"
+        return cli_main(["simulate", "--config", str(path), "--out", str(out), *flags]), out
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_too_many_lottery_draws_exits_one(self, tmp_path, capsys, workers):
+        config = {
+            "model": "serverfi", "iterations": 5, "repeats": 2,
+            "serverfi": {"n0": 3, "k": 1}, "econ": {"productivity_init_sigma": 800},
+        }
+        code, out = self.simulate(tmp_path, config, "--workers", workers)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert error_lines(err) == err.splitlines()
+        assert "lottery draws" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_overflowing_entry_productivity_exits_one(self, tmp_path, capsys):
+        config = {"model": "retention", "econ": {"productivity_init_sigma": 1000}}
+        code, out = self.simulate(tmp_path, config)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert error_lines(err) == err.splitlines()
+        assert "econ.productivity_init_sigma" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "config, flags",
+        [
+            ({"model": "retention", "retention": {"n0": 10**26}}, []),
+            ({"model": "retention", "retention": {"window": 10**26}}, []),
+            ({"model": "serverfi"}, ["--iterations", str(2**64)]),
+            ({"model": "serverfi"}, ["--repeats", str(2**64)]),
+        ],
+        ids=["n0", "window", "iterations", "repeats"],
+    )
+    def test_run_over_budget_exits_one_before_simulating(self, tmp_path, capsys, config, flags):
+        code, out = self.simulate(tmp_path, config, *flags)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: run budget exceeded") and err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestAtomicOutputs:
     def test_report_in_missing_directory_leaves_no_csv(self, config_path, tmp_path, capsys):
         out = tmp_path / "run.csv"

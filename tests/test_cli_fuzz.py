@@ -7,8 +7,9 @@ leave no output or temp file behind.
 
 Values that set how much work a run does (population ``n0``, ``window``,
 productivity, mutation noise, iterations, repeats, workers) stay small, so
-the property runs in seconds; every other field also gets huge and
-non-finite values.
+the property runs in seconds, except that ``n0``, ``window``, iterations
+and repeats also take huge values, which the run budget must refuse with
+exit 1. Every other field also gets huge and non-finite values.
 """
 
 import contextlib
@@ -39,7 +40,8 @@ HUGE_INTS = st.sampled_from([2**53, 2**63 - 1, 2**63, 2**64, 10**30])
 HUGE_FLOATS = st.sampled_from([1e300, 1.7976931348623157e308])
 
 # In-domain values for every config field. The ones that size the run stay
-# small; the others also take huge values.
+# small or, where the run budget bounds them, are huge; the others also take
+# huge values.
 FIELDS = {
     "econ": {
         "productivity_init_mean": st.floats(1e-3, 3),
@@ -50,7 +52,7 @@ FIELDS = {
     "serverfi": {
         "lambda": st.one_of(st.floats(1.001, 20), HUGE_FLOATS),
         "k": st.integers(1, 64),
-        "n0": st.integers(0, 60),
+        "n0": st.one_of(st.integers(0, 60), HUGE_INTS),
         "alpha": st.one_of(st.floats(1.001, 3), HUGE_FLOATS),
         "staking_share": st.floats(0, 1),
         "payoff_horizon": st.one_of(st.integers(1, 100), HUGE_INTS),
@@ -58,10 +60,10 @@ FIELDS = {
     "retention": {
         "top_fraction": st.floats(1e-3, 1),
         "pool_share": st.floats(0, 1),
-        "window": st.integers(1, 300),
+        "window": st.one_of(st.integers(1, 300), HUGE_INTS),
         "tolerance_min": st.one_of(st.integers(1, 12), HUGE_INTS),
         "tolerance_max": st.one_of(st.integers(1, 12), HUGE_INTS),
-        "n0": st.integers(0, 60),
+        "n0": st.one_of(st.integers(0, 60), HUGE_INTS),
         "alpha": st.one_of(st.floats(1.001, 3), HUGE_FLOATS),
         "equal_split": st.booleans(),
     },
@@ -85,8 +87,8 @@ def documents(draw):
     """A config document: valid, or valid but for one defect."""
     doc = {
         "model": draw(st.sampled_from(["serverfi", "retention"])),
-        "iterations": draw(st.integers(1, 12)),
-        "repeats": draw(st.integers(1, 3)),
+        "iterations": draw(st.one_of(st.integers(1, 12), HUGE_INTS)),
+        "repeats": draw(st.one_of(st.integers(1, 3), HUGE_INTS)),
     }
     if draw(st.booleans()):
         doc["master_seed"] = draw(st.integers(0, 2**64 - 1))
@@ -112,12 +114,13 @@ def documents(draw):
 
 FLAGS = {
     "--seed": st.integers(0, 2**64 - 1),
-    "--iterations": st.integers(1, 12),
-    "--repeats": st.integers(1, 3),
+    "--iterations": st.one_of(st.integers(1, 12), HUGE_INTS),
+    "--repeats": st.one_of(st.integers(1, 3), HUGE_INTS),
     "--workers": st.integers(1, 3),
 }
 MALFORMED = ["", "x", "1.5", "-1", "0"]
-# out of range, but not run-sizing: a huge --iterations or --repeats is valid
+# out of range, but not run-sizing: a huge --iterations or --repeats is
+# in range and refused by the run budget
 BAD_FLAGS = {"--seed": MALFORMED + [str(2**64)], "--workers": MALFORMED + [str(2**64)]}
 
 

@@ -143,6 +143,15 @@ class TestInitProductivity:
         if mean == 0.02 and n > 1:
             assert (batch == params.productivity_floor).any()
 
+    def test_overflowing_exponential_raises_value_error_in_both_forms(self):
+        params = EconParams(productivity_init_sigma=1000.0)
+        with pytest.raises(ValueError, match=r"econ\.productivity_init_sigma"):
+            init_productivity_batch(derive_stream(4, 0), 50, params)
+        rng = derive_stream(4, 0)
+        with pytest.raises(ValueError, match=r"econ\.productivity_init_sigma"):
+            for _ in range(50):
+                init_productivity(rng, params)
+
 
 class TestMutateProductivity:
     def test_zero_sigma_is_identity(self):

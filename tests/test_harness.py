@@ -55,6 +55,44 @@ class TestValidateSpec:
         with pytest.raises(ValueError, match=fragment):
             validate_spec(ExperimentSpec(**kwargs))
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ExperimentSpec(model="serverfi", iterations=500, repeats=100),
+            ExperimentSpec(model="retention", iterations=500, repeats=100),
+            ExperimentSpec(model="retention", retention=RetentionParams(n0=5000), repeats=4),
+            ExperimentSpec(model="serverfi", serverfi=ServerFiParams(k=64), repeats=40),
+            ExperimentSpec(model="retention", retention=RetentionParams(n0=0, window=10**6)),
+        ],
+        ids=["serverfi_500x100", "retention_500x100", "retention_crowd", "k64", "empty"],
+    )
+    def test_budget_admits_ordinary_runs(self, spec):
+        validate_spec(spec)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(iterations=2**64),
+            dict(iterations=10**4, repeats=10**3),
+            dict(serverfi=ServerFiParams(n0=10**26)),
+            dict(serverfi=ServerFiParams(n0=10**7, alpha=1.0001)),
+            dict(model="retention", retention=RetentionParams(n0=10**26)),
+            dict(model="retention", retention=RetentionParams(n0=0, window=10**26)),
+            dict(model="retention", retention=RetentionParams(window=10**9)),
+        ],
+    )
+    def test_budget_refuses_oversized_runs(self, kwargs):
+        with pytest.raises(ValueError, match="run budget exceeded"):
+            validate_spec(ExperimentSpec(**kwargs))
+
+    def test_budget_bounds_population_by_the_geometric_series(self):
+        # at most n0 * ceil(1.5 / 0.5) = 3 * n0 players join, however many
+        # iterations run: 3e6 players x 40 bytes fits, 3e7 does not
+        spec = ExperimentSpec(iterations=10**6, repeats=1)
+        validate_spec(spec.with_overrides(serverfi=ServerFiParams(n0=10**6, alpha=1.5, k=1)))
+        with pytest.raises(ValueError, match="run budget exceeded"):
+            validate_spec(spec.with_overrides(serverfi=ServerFiParams(n0=10**7, alpha=1.5, k=1)))
+
 
 class TestRunOnce:
     def test_record_count_and_numbering(self):

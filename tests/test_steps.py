@@ -146,6 +146,21 @@ def run_serverfi_against_reference(params, econ, seed, iterations):
     return records, rewards
 
 
+def serverfi_digest(params, econ, seed, iterations):
+    """sha256 of a serverfi run: every record, the final ids, productivity,
+    draw credit, counts and staked columns (with dtypes and shapes) and the
+    next stream value."""
+    state = serverfi.new_state(params, econ)
+    rng = derive_stream(seed, 0)
+    records = [serverfi.step(state, rng)[1] for _ in range(iterations)]
+    digest = hashlib.sha256(repr(records).encode())
+    for column in (state.ids, state.productivity, state.draw_credit, state.counts, state.staked):
+        digest.update(f"{column.dtype}{column.shape}".encode())
+        digest.update(column.tobytes())
+    digest.update(repr(rng.random()).encode())
+    return digest.hexdigest()
+
+
 def retention_digest(params, econ, seed, iterations):
     """sha256 of a retention run: every record, the final ids, productivity,
     tolerance and misses columns (with dtypes) and the next stream value."""
@@ -288,12 +303,87 @@ class TestServerFiStep:
         records, _ = run_serverfi_against_reference(params, EconParams(), 19, 40)
         assert sum(r.extra["nfts_minted"] for r in records) > 0
 
+    def test_matches_scalar_reference_when_a_row_hits_a_cell_twice(self):
+        # about 40 draws per row and iteration over 2 types: every row adds
+        # to the same count cell many times within one iteration
+        params = ServerFiParams(lam=1.01, k=2, n0=4, alpha=1.05)
+        econ = EconParams(productivity_init_mean=40.0)
+        records, _ = run_serverfi_against_reference(params, econ, 23, 12)
+        assert any(r.extra["draws"] > params.k * r.active_players for r in records)
+
     def test_overflowing_cohort_decay_joins_nobody(self):
         params = ServerFiParams(n0=30, alpha=1e300)
         state = serverfi.new_state(params, EconParams())
         rng = derive_stream(2, 0)
         joins = [serverfi.step(state, rng)[1].joins for _ in range(6)]
         assert joins == [30, 0, 0, 0, 0, 0]
+
+    def test_counts_stay_a_view_of_contiguous_type_rows(self):
+        # the lottery scatter-adds into by_type.reshape(-1), which is a view
+        # only while by_type is C-contiguous; churn here leaves survivors
+        params = ServerFiParams(
+            lam=2.0, k=4, n0=40, alpha=1.05, staking_share=0.01, payoff_horizon=5
+        )
+        state = serverfi.new_state(params, EconParams())
+        rng = derive_stream(8, 0)
+        seen = set()
+        for _ in range(60):
+            record = serverfi.step(state, rng)[1]
+            if record.joins:
+                seen.add("join")
+            if record.departures:
+                seen.add("leave")
+            assert state.counts.shape == (state.active_players, params.k)
+            assert state.counts.T.flags.c_contiguous
+        assert seen == {"join", "leave"}
+
+    def test_too_many_draws_in_one_iteration_is_refused(self):
+        params = ServerFiParams(k=1, n0=3)
+        econ = EconParams(productivity_init_mean=1e300)
+        state = serverfi.new_state(params, econ)
+        with pytest.raises(ValueError, match="lottery draws"):
+            serverfi.step(state, derive_stream(0, 0))
+
+
+# Digests of whole serverfi runs, frozen from the row-major counts and the
+# dense bincount lottery that the current step replaced.
+FROZEN_SERVERFI_RUNS = {
+    "default": (
+        {}, {}, 51, 300,
+        "a48e51b2e2335928ac5446f10bebf75591ef527cc9c987da4df69d916e867816",
+    ),
+    "k1": (
+        dict(k=1), {}, 52, 150,
+        "ff60274ca6c07e8b577aa243daf2229b25f6eda1b9ef39f67438e29fb7cd75c1",
+    ),
+    "k64": (
+        dict(k=64), {}, 53, 100,
+        "9a00f86afd55f98dc06d0f7dde830fdca0aa4efdc810678e46f025c01f1b1e63",
+    ),
+    # about 4.5k departures, down to one player
+    "heavy_churn": (
+        dict(lam=7.3, k=12, staking_share=0.0), {}, 54, 150,
+        "ee674225a3b3bb5d976a0f2659345d18717057023bad27c9485413ab48ca2618",
+    ),
+    # about 280 departures in 3 iterations, with survivors that keep drawing
+    "churn_with_survivors": (
+        dict(lam=2.0, k=4, n0=40, alpha=1.05, staking_share=0.03, payoff_horizon=20),
+        {}, 57, 80,
+        "04a7b79e1955ad568f4995664040b3f9afa67ab03978ceb3d4d9d555647139d0",
+    ),
+    # about 20 draws per row and iteration over 2 types
+    "same_cell_twice": (
+        dict(lam=1.01, k=2, n0=40), dict(productivity_init_mean=40.0), 55, 60,
+        "fc23eb8236c3867d439fe77ba0154c6f0f4cf1b91b50bc49f9e36f845ee0bd8f",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_SERVERFI_RUNS))
+def test_serverfi_run_matches_frozen_digest(case):
+    params, econ, seed, iterations, expected = FROZEN_SERVERFI_RUNS[case]
+    digest = serverfi_digest(ServerFiParams(**params), EconParams(**econ), seed, iterations)
+    assert digest == expected
 
 
 class TestRetentionStep:
