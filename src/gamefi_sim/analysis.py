@@ -118,8 +118,11 @@ def trend_report(series: AggregateSeries) -> TrendReport:
     late_y = means[n - late_count :]
     late_x = range(n - late_count + 1, n + 1)
     x_bar = math.fsum(late_x) / late_count
-    y_bar = math.fsum(late_y) / late_count
-    sxy = math.fsum((x - x_bar) * (y - y_bar) for x, y in zip(late_x, late_y))
+    try:
+        y_bar = math.fsum(late_y) / late_count
+        sxy = math.fsum((x - x_bar) * (y - y_bar) for x, y in zip(late_x, late_y))
+    except OverflowError:
+        raise ValueError("trend report: the late slope overflows a float") from None
     sxx = math.fsum((x - x_bar) ** 2 for x in late_x)
     late_slope = sxy / sxx
 

@@ -106,7 +106,8 @@ def _write_outputs(outputs: List[Tuple[str, Callable[[str], None]]]) -> None:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     try:
-        text = open(args.config, "r", encoding="utf-8").read()
+        with open(args.config, "r", encoding="utf-8") as handle:
+            text = handle.read()
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -132,17 +133,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
-        # a run can still fail validation midway, e.g. on too many lottery draws
+        # a run can still fail validation midway, e.g. on too many lottery
+        # draws or a float overflow, and so can its mean or trend
         series, _ = run_experiment(spec, workers=args.workers)
+        outputs: List[Tuple[str, Callable[[str], None]]] = [
+            (args.out, lambda path: write_series_csv(series, path))
+        ]
+        if args.report is not None:
+            payload = json.dumps(trend_report(series).to_dict(), indent=2) + "\n"
+            outputs.append((args.report, lambda path: _write_text(path, payload)))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    outputs: List[Tuple[str, Callable[[str], None]]] = [
-        (args.out, lambda path: write_series_csv(series, path))
-    ]
-    if args.report is not None:
-        payload = json.dumps(trend_report(series).to_dict(), indent=2) + "\n"
-        outputs.append((args.report, lambda path: _write_text(path, payload)))
     try:
         _write_outputs(outputs)
     except OSError as exc:

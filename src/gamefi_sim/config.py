@@ -19,54 +19,39 @@ Example::
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-from typing import Any, Dict, Mapping, Tuple
+import typing
+from typing import Any, Dict, Tuple
 
-from .core import EconParams
-from .harness import ExperimentSpec, validate_spec
-from .retention import RetentionParams
-from .serverfi import ServerFiParams
+from .harness import MODELS, ExperimentSpec, validate_spec
 
 
 class ConfigError(ValueError):
     """Raised for malformed documents, unknown keys, or out-of-range values."""
 
 
-# JSON key -> (dataclass field, python type)
-_ECON_FIELDS = {
-    "productivity_init_mean": ("productivity_init_mean", float),
-    "productivity_init_sigma": ("productivity_init_sigma", float),
-    "mutation_sigma": ("mutation_sigma", float),
-    "productivity_floor": ("productivity_floor", float),
+# JSON key -> dataclass field, where the two differ
+_ALIASES = {"lambda": "lam"}
+
+
+def _block_fields(block: type) -> Dict[str, Tuple[str, type]]:
+    """JSON key -> (dataclass field, python type) for one parameter block."""
+    keys = {name: key for key, name in _ALIASES.items()}
+    hints = typing.get_type_hints(block)
+    return {keys.get(f.name, f.name): (f.name, hints[f.name]) for f in dataclasses.fields(block)}
+
+
+# top-level keys in ExperimentSpec order, which is the order their errors are
+# reported in; a field with a default factory is a parameter block
+_SPEC_FIELDS = dataclasses.fields(ExperimentSpec)
+_TOP_LEVEL_KEYS = tuple(f.name for f in _SPEC_FIELDS)
+_BLOCK_FIELDS = {
+    f.name: _block_fields(f.default_factory)
+    for f in _SPEC_FIELDS
+    if f.default_factory is not dataclasses.MISSING
 }
-_SERVERFI_FIELDS = {
-    "lambda": ("lam", float),
-    "k": ("k", int),
-    "n0": ("n0", int),
-    "alpha": ("alpha", float),
-    "staking_share": ("staking_share", float),
-    "payoff_horizon": ("payoff_horizon", int),
-}
-_RETENTION_FIELDS = {
-    "top_fraction": ("top_fraction", float),
-    "pool_share": ("pool_share", float),
-    "window": ("window", int),
-    "tolerance_min": ("tolerance_min", int),
-    "tolerance_max": ("tolerance_max", int),
-    "n0": ("n0", int),
-    "alpha": ("alpha", float),
-    "equal_split": ("equal_split", bool),
-}
-_TOP_LEVEL_KEYS = (
-    "model",
-    "iterations",
-    "repeats",
-    "master_seed",
-    "econ",
-    "serverfi",
-    "retention",
-)
 
 
 def _coerce(value: Any, kind: type, path: str) -> Any:
@@ -91,20 +76,19 @@ def _coerce(value: Any, kind: type, path: str) -> Any:
     raise AssertionError(f"unsupported field type {kind!r}")
 
 
-def _parse_block(
-    raw: Any, fields: Mapping[str, Tuple[str, type]], path: str
-) -> Dict[str, Any]:
+def _parse_block(raw: Any, block: type, path: str) -> Any:
     if raw is None:
-        return {}
+        return block()
     if not isinstance(raw, dict):
         raise ConfigError(f"{path} must be an object")
+    fields = _BLOCK_FIELDS[path]
     kwargs: Dict[str, Any] = {}
     for key, value in raw.items():
         if key not in fields:
             raise ConfigError(f"unknown key: {path}.{key}")
         field_name, kind = fields[key]
         kwargs[field_name] = _coerce(value, kind, f"{path}.{key}")
-    return kwargs
+    return block(**kwargs)
 
 
 def parse_config(text: str) -> ExperimentSpec:
@@ -123,22 +107,18 @@ def parse_config(text: str) -> ExperimentSpec:
     if "model" not in raw:
         raise ConfigError("model is required ('serverfi' or 'retention')")
     model = raw["model"]
-    if model not in ("serverfi", "retention"):
+    if not isinstance(model, str) or model not in MODELS:
         raise ConfigError("model must be 'serverfi' or 'retention'")
 
-    spec = ExperimentSpec(
-        model=model,
-        econ=EconParams(**_parse_block(raw.get("econ"), _ECON_FIELDS, "econ")),
-        serverfi=ServerFiParams(
-            **_parse_block(raw.get("serverfi"), _SERVERFI_FIELDS, "serverfi")
-        ),
-        retention=RetentionParams(
-            **_parse_block(raw.get("retention"), _RETENTION_FIELDS, "retention")
-        ),
-        iterations=_coerce(raw.get("iterations", 500), int, "iterations"),
-        repeats=_coerce(raw.get("repeats", 100), int, "repeats"),
-        master_seed=_coerce(raw.get("master_seed", 0), int, "master_seed"),
-    )
+    values: Dict[str, Any] = {"model": model}
+    for spec_field in _SPEC_FIELDS[1:]:
+        name = spec_field.name
+        if name in _BLOCK_FIELDS:
+            values[name] = _parse_block(raw.get(name), spec_field.default_factory, name)
+        else:
+            default = spec_field.default
+            values[name] = _coerce(raw.get(name, default), type(default), name)
+    spec = ExperimentSpec(**values)
     try:
         validate_spec(spec)
     except ValueError as exc:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Any, ClassVar, Dict, Tuple
 
 import numpy as np
 
@@ -58,6 +58,49 @@ class IterationRecord:
     joins: int
     departures: int
     extra: Dict[str, float] = field(default_factory=dict)
+
+
+@dataclass
+class Population:
+    """Per-player columns of one repeat's active players, shared by both models.
+
+    Entry ``j`` on the last axis of ``ids``, ``productivity`` and each
+    column a model names in ``COLUMNS`` describes one active player. Every
+    column is C-contiguous, since :meth:`join` and :meth:`keep` return fresh
+    arrays (a 2-D column's ``reshape(-1)`` is then a view; after a
+    ``[:, mask]`` selection it would be a copy). ``ids`` is strictly
+    increasing: joiners get fresh ascending ids and departures only delete
+    entries, so index order is id order.
+    """
+
+    COLUMNS: ClassVar[Tuple[str, ...]] = ()
+
+    params: Any
+    econ: EconParams
+    iteration: int = 0
+    next_id: int = 0
+    ids: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    productivity: np.ndarray = field(default_factory=lambda: np.zeros(0))
+
+    @property
+    def active_players(self) -> int:
+        return len(self.ids)
+
+    def join(self, productivity: np.ndarray, **columns: np.ndarray) -> None:
+        """Append a cohort with fresh ids; a column not given is zero-filled."""
+        joins = len(productivity)
+        columns.update(ids=np.arange(self.next_id, self.next_id + joins), productivity=productivity)
+        self.next_id += joins
+        for name in ("ids", "productivity") + self.COLUMNS:
+            old = getattr(self, name)
+            new = columns[name] if name in columns else np.zeros(old.shape[:-1] + (joins,), old.dtype)
+            setattr(self, name, np.concatenate([old, new], axis=-1))
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Keep only the players where ``mask`` is True, in order."""
+        rows = np.flatnonzero(mask)
+        for name in ("ids", "productivity") + self.COLUMNS:
+            setattr(self, name, getattr(self, name).take(rows, axis=-1))
 
 
 def cohort_size(iteration: int, n0: int, alpha: float) -> int:

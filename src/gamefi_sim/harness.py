@@ -14,10 +14,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 from . import retention, serverfi
 from .core import MAX_SEED, EconParams, IterationRecord, derive_stream
 
-MODELS = ("serverfi", "retention")
+# model modules: new_state(params, econ), step(state, rng) and
+# state_columns(params), with params the ExperimentSpec field of that name
+MODELS = {"serverfi": serverfi, "retention": retention}
 
 # Run budget, checked before simulating. MAX_STATE_BYTES bounds the
 # population's state columns (the step's temporaries take a few times as
@@ -69,7 +73,7 @@ class AggregateSeries:
 
 def validate_spec(spec: ExperimentSpec) -> None:
     """Reject an invalid spec with a field-path error message."""
-    if spec.model not in MODELS:
+    if not isinstance(spec.model, str) or spec.model not in MODELS:
         raise ValueError("model must be 'serverfi' or 'retention'")
     spec.econ.validate("econ")
     spec.serverfi.validate("serverfi")
@@ -88,21 +92,16 @@ def _check_budget(spec: ExperimentSpec) -> None:
 
     Cohorts shrink geometrically, so at most ``n0 * min(iterations,
     ceil(alpha / (alpha - 1)))`` players ever join; each holds 8 bytes per
-    state column: ids, productivity, draw credit, staked and the ``k``
-    fragment counts for serverfi, ids, productivity, tolerance, misses and
-    the ``window`` ring for retention. The budget counts at least one
-    player, so an oversized ring is refused even with no arrivals.
+    state column, ``state_columns(params)`` of them. The budget counts at
+    least one player, so an oversized ring is refused even with no arrivals.
     """
     if spec.iterations * spec.repeats > MAX_RECORDS:
         raise ValueError(
             f"run budget exceeded: iterations x repeats = {spec.iterations} x {spec.repeats} "
             f"is more than {MAX_RECORDS} records"
         )
-    if spec.model == "serverfi":
-        params, columns = spec.serverfi, spec.serverfi.k + 4
-    else:
-        params, columns = spec.retention, spec.retention.window + 4
-    player_bytes = 8 * columns
+    params = getattr(spec, spec.model)
+    player_bytes = 8 * MODELS[spec.model].state_columns(params)
     cohorts = min(spec.iterations, math.ceil(params.alpha / (params.alpha - 1)))
     players = max(params.n0 * cohorts, 1)
     if players * player_bytes > MAX_STATE_BYTES:
@@ -113,22 +112,27 @@ def _check_budget(spec: ExperimentSpec) -> None:
 
 
 def run_once(spec: ExperimentSpec, repeat_index: int) -> List[IterationRecord]:
-    """Run one repeat; output is a pure function of (spec, repeat_index)."""
+    """Run one repeat; output is a pure function of (spec, repeat_index).
+
+    A float overflow in a step is a ValueError naming repeat and iteration.
+    """
     validate_spec(spec)
     if not 0 <= repeat_index < spec.repeats:
         raise ValueError("repeat_index must be in [0, repeats)")
     rng = derive_stream(spec.master_seed, repeat_index)
+    model = MODELS[spec.model]
+    state = model.new_state(getattr(spec, spec.model), spec.econ)
     records: List[IterationRecord] = []
-    if spec.model == "serverfi":
-        state = serverfi.new_state(spec.serverfi, spec.econ)
-        for _ in range(spec.iterations):
-            state, record = serverfi.step(state, rng)
-            records.append(record)
-    else:
-        state = retention.new_state(spec.retention, spec.econ)
-        for _ in range(spec.iterations):
-            state, record = retention.step(state, rng)
-            records.append(record)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for _ in range(spec.iterations):
+                state, record = model.step(state, rng)
+                records.append(record)
+    except FloatingPointError as exc:
+        raise ValueError(
+            f"repeat {repeat_index}, iteration {state.iteration + 1}: a value overflows "
+            f"a float ({exc}); lower the econ.productivity_* values"
+        ) from None
     return records
 
 
@@ -136,7 +140,8 @@ def aggregate(results: Sequence[Sequence[IterationRecord]]) -> AggregateSeries:
     """Pointwise mean/min/max across repeats.
 
     Means use exact compensated summation, so the outcome does not depend
-    on the order repeats are supplied in.
+    on the order repeats are supplied in. A sum too large for a float
+    raises ValueError.
     """
     if not results:
         raise ValueError("aggregate requires at least one repeat")
@@ -154,7 +159,12 @@ def aggregate(results: Sequence[Sequence[IterationRecord]]) -> AggregateSeries:
     for idx in range(length):
         totals = [records[idx].total_value for records in results]
         actives = [records[idx].active_players for records in results]
-        mean_tv.append(math.fsum(totals) / n)
+        try:
+            mean_tv.append(math.fsum(totals) / n)
+        except OverflowError:
+            raise ValueError(
+                f"the mean total value of iteration {idx + 1} overflows a float"
+            ) from None
         min_tv.append(min(totals))
         max_tv.append(max(totals))
         mean_ap.append(math.fsum(actives) / n)

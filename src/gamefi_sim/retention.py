@@ -18,6 +18,7 @@ import numpy as np
 from .core import (
     EconParams,
     IterationRecord,
+    Population,
     cohort_size,
     init_productivity_batch,
     mutate_productivity_batch,
@@ -195,39 +196,32 @@ def _top_indices(totals: np.ndarray, count: int) -> np.ndarray:
 
 
 @dataclass
-class RetentionState:
-    """Full world state for one repeat, stored column-wise for speed.
+class RetentionState(Population):
+    """World state of one repeat: a population with tolerance, miss streak
+    and contribution window per player.
 
     ``window_matrix`` is a ring buffer of the last ``window`` contributions
     with shape ``(window, n)``: row ``(i - 1) % window`` holds every
     player's iteration-``i`` contribution, so recording an iteration writes
     one contiguous row, and a player's trailing-window total is their
     column sum. Columns are zero-filled at join, and departed players take
-    their columns (and thus their ledger history) with them. ``ids`` is
-    strictly increasing: joiners are appended with fresh ascending ids and
-    departures only delete entries, so a player's index in every column
-    is in id order.
+    their columns (and thus their ledger history) with them.
     """
 
-    params: RetentionParams
-    econ: EconParams
-    iteration: int = 0
-    next_id: int = 0
-    ids: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    productivity: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    COLUMNS = ("tolerance", "misses", "window_matrix")
+
     tolerance: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     misses: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     window_matrix: np.ndarray = field(default_factory=lambda: np.zeros((1, 0)))
 
-    @property
-    def active_players(self) -> int:
-        return len(self.ids)
-
 
 def new_state(params: RetentionParams, econ: EconParams) -> RetentionState:
-    state = RetentionState(params=params, econ=econ)
-    state.window_matrix = np.zeros((params.window, 0))
-    return state
+    return RetentionState(params, econ, window_matrix=np.zeros((params.window, 0)))
+
+
+def state_columns(params: RetentionParams) -> int:
+    """8-byte state entries per player: ids, productivity, tolerance, misses, the window."""
+    return params.window + 4
 
 
 def step(
@@ -245,7 +239,7 @@ def step(
     id. Only the winners are ordered: a partition picks the players at or
     above the winning threshold and a stable sort ranks those. The stable
     sort breaks ties by index, which is id order because ``state.ids`` is
-    strictly increasing (see :class:`RetentionState`).
+    strictly increasing (see :class:`~gamefi_sim.core.Population`).
     """
     p = state.params
     econ = state.econ
@@ -257,14 +251,7 @@ def step(
         fresh = init_productivity_batch(rng, joins, econ)
         span = p.tolerance_max - p.tolerance_min + 1
         tol = p.tolerance_min + (rng.random(joins) * span).astype(np.int64)
-        state.ids = np.concatenate([state.ids, np.arange(state.next_id, state.next_id + joins)])
-        state.productivity = np.concatenate([state.productivity, fresh])
-        state.tolerance = np.concatenate([state.tolerance, tol])
-        state.misses = np.concatenate([state.misses, np.zeros(joins, dtype=np.int64)])
-        state.window_matrix = np.concatenate(
-            [state.window_matrix, np.zeros((p.window, joins))], axis=1
-        )
-        state.next_id += joins
+        state.join(fresh, tolerance=tol)
 
     n = state.active_players
 
@@ -299,12 +286,7 @@ def step(
         leave = state.misses > state.tolerance
         departures = int(np.count_nonzero(leave))
         if departures:
-            keep = np.flatnonzero(~leave)
-            state.ids = state.ids.take(keep)
-            state.productivity = state.productivity.take(keep)
-            state.tolerance = state.tolerance.take(keep)
-            state.misses = state.misses.take(keep)
-            state.window_matrix = state.window_matrix.take(keep, axis=1)
+            state.keep(~leave)
 
     # (5) mutation of survivors
     if state.active_players:

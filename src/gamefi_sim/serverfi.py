@@ -28,6 +28,7 @@ import numpy as np
 from .core import (
     EconParams,
     IterationRecord,
+    Population,
     cohort_size,
     init_productivity_batch,
     mutate_productivity_batch,
@@ -181,41 +182,27 @@ def should_churn(
 
 
 @dataclass
-class ServerFiState:
-    """Full world state for one repeat, stored column-wise for speed.
+class ServerFiState(Population):
+    """World state of one repeat: a population with draw credit, fragment
+    counts and staked NFTs per player.
 
-    Entry ``j`` of every per-player array (column ``j`` of ``by_type``)
-    describes one active player; departed players are dropped.
     ``last_per_nft_reward`` is None until the first payout event: with no
     observed reward to project from, rational agents have no basis to stay
     out (the gate is open) or to quit (churn is inactive).
 
-    Fragment counts are stored column-major: ``by_type`` is a C-contiguous
-    ``(k, n)`` array whose row ``t`` holds every player's count of type
-    ``t``, and ``counts`` is its ``(n, k)`` transposed view. Each per-type
-    pass of the step (the mint minimum, the missing-type scan) then reads
-    one contiguous row, and the lottery scatter-adds into the flat view
-    ``by_type.reshape(-1)`` at ``type * n + player``. That flat view is a
-    view only while ``by_type`` is C-contiguous: otherwise ``reshape``
-    copies and the fragments added to the copy are lost. So ``by_type`` is
-    only ever replaced by a fresh C-contiguous array (``np.concatenate``
-    on axis 1, ``compress`` on axis 1), never by a ``[:, mask]`` selection.
+    ``by_type`` holds the counts column-major, ``(k, n)``, and ``counts``
+    is its ``(n, k)`` transposed view. Each per-type pass of the step (the
+    mint minimum, the missing-type scan) reads one contiguous row, and the
+    lottery scatter-adds into the flat view ``by_type.reshape(-1)`` at
+    ``type * n + player``, a view because every column is C-contiguous.
     """
 
-    params: ServerFiParams
-    econ: EconParams
-    iteration: int = 0
-    next_id: int = 0
+    COLUMNS = ("draw_credit", "by_type", "staked")
+
     last_per_nft_reward: Optional[float] = None
-    ids: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    productivity: np.ndarray = field(default_factory=lambda: np.zeros(0))
     draw_credit: np.ndarray = field(default_factory=lambda: np.zeros(0))
     by_type: np.ndarray = field(default_factory=lambda: np.zeros((1, 0), dtype=np.int64))
     staked: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-
-    @property
-    def active_players(self) -> int:
-        return len(self.ids)
 
     @property
     def counts(self) -> np.ndarray:
@@ -224,9 +211,12 @@ class ServerFiState:
 
 
 def new_state(params: ServerFiParams, econ: EconParams) -> ServerFiState:
-    state = ServerFiState(params=params, econ=econ)
-    state.by_type = np.zeros((params.k, 0), dtype=np.int64)
-    return state
+    return ServerFiState(params, econ, by_type=np.zeros((params.k, 0), dtype=np.int64))
+
+
+def state_columns(params: ServerFiParams) -> int:
+    """8-byte state entries per player: ids, productivity, credit, staked, k counts."""
+    return params.k + 4
 
 
 def step(state: ServerFiState, rng: np.random.Generator) -> Tuple[ServerFiState, IterationRecord]:
@@ -264,15 +254,7 @@ def step(state: ServerFiState, rng: np.random.Generator) -> Tuple[ServerFiState,
         gate_open = entry_gate(cost, state.last_per_nft_reward, p.payoff_horizon)
     joins = arrivals(i, p.n0, p.alpha, gate_open)
     if joins:
-        fresh = init_productivity_batch(rng, joins, econ)
-        state.ids = np.concatenate([state.ids, np.arange(state.next_id, state.next_id + joins)])
-        state.productivity = np.concatenate([state.productivity, fresh])
-        state.draw_credit = np.concatenate([state.draw_credit, np.zeros(joins)])
-        state.by_type = np.concatenate(
-            [state.by_type, np.zeros((p.k, joins), dtype=np.int64)], axis=1
-        )
-        state.staked = np.concatenate([state.staked, np.zeros(joins, dtype=np.int64)])
-        state.next_id += joins
+        state.join(init_productivity_batch(rng, joins, econ))
 
     n = state.active_players
     by_type = state.by_type
@@ -338,14 +320,9 @@ def step(state: ServerFiState, rng: np.random.Generator) -> Tuple[ServerFiState,
             leave = (state.staked == 0) & leave_if_missing[missing]
             departures = int(leave.sum())
     if departures:
-        fragments_departed = int(by_type.compress(leave, axis=1).sum())
+        fragments_departed = int(by_type.sum(axis=0)[leave].sum())
         credit_departed = float(np.sum(state.draw_credit[leave]))
-        keep = ~leave
-        state.ids = state.ids[keep]
-        state.productivity = state.productivity[keep]
-        state.draw_credit = state.draw_credit[keep]
-        state.by_type = by_type.compress(keep, axis=1)
-        state.staked = state.staked[keep]
+        state.keep(~leave)
 
     # (6) mutation of survivors
     if state.active_players:

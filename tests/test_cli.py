@@ -218,6 +218,42 @@ class TestRuntimeGuards:
         assert "econ.productivity_init_sigma" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize(
+        "model, mean", [("retention", 1e300), ("serverfi", 1e308)], ids=["retention", "serverfi"]
+    )
+    def test_float_overflow_exits_one(self, tmp_path, capsys, model, mean, workers):
+        # retention overflows in its payout, serverfi in the entry productivity
+        config = {
+            "model": model, "iterations": 20, "repeats": 2,
+            "econ": {"productivity_init_mean": mean},
+        }
+        code, out = self.simulate(tmp_path, config, "--workers", workers)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert error_lines(err) == err.splitlines()
+        assert "repeat 0, iteration 1: a value overflows a float" in err
+        assert "econ.productivity_" in err
+        assert not out.exists()
+
+    def test_overflowing_mean_and_trend_exit_one(self, tmp_path, capsys):
+        # one player at the largest float: each repeat runs, but the mean
+        # over two repeats, or the trend of one, overflows
+        config = {
+            "model": "retention", "iterations": 12, "repeats": 2,
+            "econ": {"productivity_floor": 1.7976931348623157e308, "mutation_sigma": 0},
+            "retention": {"n0": 1, "window": 1, "equal_split": True},
+        }
+        code, out = self.simulate(tmp_path, config)
+        err = capsys.readouterr().err
+        assert code == 1 and err == "error: the mean total value of iteration 1 overflows a float\n"
+        assert not out.exists()
+        report = tmp_path / "report.json"
+        code, out = self.simulate(tmp_path, config, "--repeats", "1", "--report", str(report))
+        err = capsys.readouterr().err
+        assert code == 1 and err == "error: trend report: the late slope overflows a float\n"
+        assert not out.exists() and not report.exists()
+
     @pytest.mark.parametrize(
         "config, flags",
         [

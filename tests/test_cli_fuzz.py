@@ -5,11 +5,13 @@ malformed JSON) and flag sets. Every call must return 0, 1 or 2, raise
 nothing, warn nothing and, on failure, print exactly one ``error:`` line and
 leave no output or temp file behind.
 
-Values that set how much work a run does (population ``n0``, ``window``,
-productivity, mutation noise, iterations, repeats, workers) stay small, so
-the property runs in seconds, except that ``n0``, ``window``, iterations
-and repeats also take huge values, which the run budget must refuse with
-exit 1. Every other field also gets huge and non-finite values.
+Values that set how much work a run does stay small, so the property runs
+in seconds, but some of them also take huge values. Huge ``n0``,
+``window``, iterations and repeats must be refused by the run budget with
+exit 1. A huge productivity mean, floor or entry sigma must either run or
+exit 1 on the draws limit or a float overflow. Only ``mutation_sigma`` and
+``--workers`` stay small-only. Every other field also gets huge and
+non-finite values.
 """
 
 import contextlib
@@ -38,16 +40,17 @@ BAD_SCALARS = st.one_of(
 )
 HUGE_INTS = st.sampled_from([2**53, 2**63 - 1, 2**63, 2**64, 10**30])
 HUGE_FLOATS = st.sampled_from([1e300, 1.7976931348623157e308])
+HUGE_PRODUCTIVITY = st.sampled_from([1e150, 1e200, 1e300, 1.7976931348623157e308])
 
 # In-domain values for every config field. The ones that size the run stay
-# small or, where the run budget bounds them, are huge; the others also take
-# huge values.
+# small or, where the run budget, the draws limit or the overflow guard bounds
+# them, are huge; the others also take huge values.
 FIELDS = {
     "econ": {
-        "productivity_init_mean": st.floats(1e-3, 3),
-        "productivity_init_sigma": st.floats(0, 1),
+        "productivity_init_mean": st.one_of(st.floats(1e-3, 3), HUGE_PRODUCTIVITY),
+        "productivity_init_sigma": st.one_of(st.floats(0, 1), st.sampled_from([9, 800, 1e300])),
         "mutation_sigma": st.floats(0, 0.5),
-        "productivity_floor": st.floats(1e-300, 3),
+        "productivity_floor": st.one_of(st.floats(1e-300, 3), HUGE_PRODUCTIVITY),
     },
     "serverfi": {
         "lambda": st.one_of(st.floats(1.001, 20), HUGE_FLOATS),

@@ -1,8 +1,13 @@
 """Config-document parsing tests: defaults, strictness, field-path errors."""
 
+from pathlib import Path
+
 import pytest
 
 from gamefi_sim.config import ConfigError, parse_config
+from gamefi_sim.harness import ExperimentSpec
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestDefaults:
@@ -30,6 +35,12 @@ class TestDefaults:
         assert spec.retention.top_fraction == 0.2
         assert spec.retention.pool_share == 0.8
         assert spec.retention.window == 5
+
+    def test_readme_example_is_the_defaults(self):
+        # the documented schema: every key, its JSON name and its default
+        section = README.read_text(encoding="utf-8").split("### Config format", 1)[1]
+        example = section.split("```json\n", 1)[1].split("```", 1)[0]
+        assert parse_config(example) == ExperimentSpec()
 
     def test_partial_blocks_merge_with_defaults(self):
         spec = parse_config('{"model": "serverfi", "serverfi": {"k": 4}}')

@@ -3,12 +3,14 @@
 import math
 import subprocess
 import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
 from gamefi_sim.core import (
     EconParams,
+    Population,
     cohort_size,
     derive_stream,
     init_productivity,
@@ -82,6 +84,41 @@ class TestDeriveStream:
 
     def test_full_64_bit_seed_accepted(self):
         derive_stream(2**64 - 1, 0).random(3)
+
+
+@dataclass
+class Store(Population):
+    COLUMNS = ("score", "grid")
+
+    score: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    grid: np.ndarray = field(default_factory=lambda: np.zeros((3, 0), dtype=np.int64))
+
+
+class TestPopulation:
+    def test_join_appends_fresh_ids_and_zero_fills(self):
+        store = Store(None, EconParams())
+        store.join(np.array([1.0, 2.0]))
+        store.join(np.array([3.0, 4.0, 5.0]), score=np.array([7.0, 8.0, 9.0]))
+        assert store.ids.tolist() == [0, 1, 2, 3, 4] and store.next_id == 5
+        assert store.productivity.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert store.score.tolist() == [0.0, 0.0, 7.0, 8.0, 9.0]
+        assert store.grid.shape == (3, 5) and store.grid.dtype == np.int64
+        assert not store.grid.any()
+
+    def test_keep_compresses_every_column_into_c_contiguous_arrays(self):
+        store = Store(None, EconParams())
+        store.join(np.arange(6.0), score=np.arange(6.0) * 10)
+        store.grid += np.arange(6)
+        store.keep(np.array([True, False, True, True, False, True]))
+        assert store.active_players == 4 and store.next_id == 6
+        assert store.ids.tolist() == [0, 2, 3, 5]
+        assert store.productivity.tolist() == [0.0, 2.0, 3.0, 5.0]
+        assert store.score.tolist() == [0.0, 20.0, 30.0, 50.0]
+        assert store.grid.tolist() == [[0, 2, 3, 5]] * 3
+        # the flat view of a 2-D column is a view, so writes through it land
+        assert store.grid.flags.c_contiguous
+        store.grid.reshape(-1)[0] = 9
+        assert store.grid[0, 0] == 9
 
 
 class TestCohortSize:

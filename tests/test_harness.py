@@ -1,9 +1,10 @@
 """Experiment harness tests: repeats, aggregation, scheduling independence."""
 
+import numpy as np
 import pytest
 
-from gamefi_sim import harness
-from gamefi_sim.core import IterationRecord
+from gamefi_sim import harness, serverfi
+from gamefi_sim.core import EconParams, IterationRecord, derive_stream
 from gamefi_sim.harness import (
     AggregateSeries,
     ExperimentSpec,
@@ -92,6 +93,36 @@ class TestValidateSpec:
         validate_spec(spec.with_overrides(serverfi=ServerFiParams(n0=10**6, alpha=1.5, k=1)))
         with pytest.raises(ValueError, match="run budget exceeded"):
             validate_spec(spec.with_overrides(serverfi=ServerFiParams(n0=10**7, alpha=1.5, k=1)))
+
+
+class TestModelRegistry:
+    @pytest.mark.parametrize(
+        "model, params",
+        [("serverfi", ServerFiParams(k=k, n0=7)) for k in (1, 8, 64)]
+        + [("retention", RetentionParams(window=w, n0=7)) for w in (1, 5, 200)],
+        ids=["k1", "k8", "k64", "window1", "window5", "window200"],
+    )
+    def test_state_columns_counts_every_per_player_entry(self, model, params):
+        # the run budget prices a player at 8 bytes per state column
+        module = harness.MODELS[model]
+        state, _ = module.step(module.new_state(params, EconParams()), derive_stream(0, 0))
+        n = state.active_players
+        columns = [value for value in vars(state).values() if isinstance(value, np.ndarray)]
+        assert n > 0
+        assert all(column.itemsize == 8 for column in columns)
+        assert sum(column.size for column in columns) == module.state_columns(params) * n
+
+    def test_run_once_looks_up_the_step_at_call_time(self, monkeypatch):
+        calls = []
+        original = serverfi.step
+
+        def counted(state, rng):
+            calls.append(state.iteration)
+            return original(state, rng)
+
+        monkeypatch.setattr(serverfi, "step", counted)
+        run_once(SMALL_SERVERFI.with_overrides(iterations=3), 0)
+        assert calls == [0, 1, 2]
 
 
 class TestRunOnce:
