@@ -80,7 +80,7 @@ def write_series_csv(series: AggregateSeries, destination: Union[str, Path]) -> 
 
 
 def read_series_csv(source: Union[str, Path]) -> AggregateSeries:
-    """Parse a file produced by :func:`write_series_csv`."""
+    """Parse a file produced by :func:`write_series_csv`; every value must be finite."""
     with open(source, "r", encoding="utf-8") as handle:
         lines = [line.rstrip("\n") for line in handle if line.strip()]
     if not lines or lines[0] != CSV_HEADER:
@@ -100,6 +100,9 @@ def read_series_csv(source: Union[str, Path]) -> AggregateSeries:
             raise ValueError(f"row {row_number}: {exc}") from None
         if iteration != row_number:
             raise ValueError(f"row {row_number}: iteration column is {iteration}")
+        for name, part, value in zip(CSV_HEADER.split(",")[1:], parts[1:], values):
+            if not math.isfinite(value):
+                raise ValueError(f"row {row_number}: {name}={part.strip()} is not finite")
         mean_tv.append(values[0])
         min_tv.append(values[1])
         max_tv.append(values[2])

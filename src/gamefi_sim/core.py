@@ -17,6 +17,11 @@ import numpy as np
 
 MAX_SEED = 2**64
 
+# Entries of each column a Population may allocate per player it held at
+# once: a backing buffer grown by doubling (under twice the players) plus the
+# spare buffer keep compacts into.
+STORE_FACTOR = 4
+
 
 @dataclass(frozen=True)
 class EconParams:
@@ -65,12 +70,21 @@ class Population:
     """Per-player columns of one repeat's active players, shared by both models.
 
     Entry ``j`` on the last axis of ``ids``, ``productivity`` and each
-    column a model names in ``COLUMNS`` describes one active player. Every
-    column is C-contiguous, since :meth:`join` and :meth:`keep` return fresh
-    arrays (a 2-D column's ``reshape(-1)`` is then a view; after a
-    ``[:, mask]`` selection it would be a copy). ``ids`` is strictly
-    increasing: joiners get fresh ascending ids and departures only delete
-    entries, so index order is id order.
+    column a model names in ``COLUMNS`` describes one active player. ``ids``
+    is strictly increasing: joiners get fresh ascending ids and departures
+    only delete entries, so index order is id order.
+
+    Each column is the view ``buffer(name)[..., :n]`` of a C-contiguous
+    backing buffer whose last axis is ``capacity``. :meth:`join` writes a
+    cohort into the slack past ``n`` and reallocates only when the buffers
+    are full, doubling them. :meth:`keep` compacts the survivors into a
+    second, reused buffer and swaps the two. So a store allocates up to
+    :data:`STORE_FACTOR` entries of each column per player it ever held at
+    once. Two rules follow. A 2-D column is not C-contiguous while
+    ``capacity > n``, so ``column.reshape(-1)`` is a copy: address entry
+    ``(row, j)`` as ``row * capacity + j`` in ``buffer(name).reshape(-1)``.
+    And a step writes new values into a column (``column[...] = values``)
+    instead of rebinding it.
     """
 
     COLUMNS: ClassVar[Tuple[str, ...]] = ()
@@ -81,26 +95,66 @@ class Population:
     next_id: int = 0
     ids: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     productivity: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    capacity: int = field(default=0, init=False)
+    _buffers: Dict[str, np.ndarray] = field(default_factory=dict, init=False, repr=False)
+    _spares: Dict[str, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     @property
     def active_players(self) -> int:
         return len(self.ids)
 
+    def _names(self) -> Tuple[str, ...]:
+        return ("ids", "productivity") + self.COLUMNS
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the backing and spare buffers of every column."""
+        return sum(b.nbytes for b in (*self._buffers.values(), *self._spares.values()))
+
+    def buffer(self, name: str) -> np.ndarray:
+        """The backing buffer of column ``name``; its last axis is ``capacity``."""
+        return self._buffers[name]
+
     def join(self, productivity: np.ndarray, **columns: np.ndarray) -> None:
         """Append a cohort with fresh ids; a column not given is zero-filled."""
+        n = self.active_players
         joins = len(productivity)
         columns.update(ids=np.arange(self.next_id, self.next_id + joins), productivity=productivity)
         self.next_id += joins
-        for name in ("ids", "productivity") + self.COLUMNS:
-            old = getattr(self, name)
-            new = columns[name] if name in columns else np.zeros(old.shape[:-1] + (joins,), old.dtype)
-            setattr(self, name, np.concatenate([old, new], axis=-1))
+        if n + joins > self.capacity:
+            self._grow(n + joins)
+        for name in self._names():
+            column = self._buffers[name][..., : n + joins]
+            column[..., n:] = columns.get(name, 0)
+            setattr(self, name, column)
 
     def keep(self, mask: np.ndarray) -> None:
         """Keep only the players where ``mask`` is True, in order."""
         rows = np.flatnonzero(mask)
-        for name in ("ids", "productivity") + self.COLUMNS:
-            setattr(self, name, getattr(self, name).take(rows, axis=-1))
+        kept = len(rows)
+        for name in self._names():
+            spare = self._spares.get(name)
+            if spare is None:
+                spare = np.empty_like(self._buffers[name])
+            column = getattr(self, name)
+            if column.ndim == 1:
+                column.take(rows, out=spare[:kept], mode="clip")
+            else:
+                # row by row: a take into a strided 2-D out goes through a copy
+                for source, target in zip(column, spare):
+                    source.take(rows, out=target[:kept], mode="clip")
+            self._spares[name], self._buffers[name] = self._buffers[name], spare
+            setattr(self, name, spare[..., :kept])
+
+    def _grow(self, needed: int) -> None:
+        """Move every column into buffers of twice the capacity, or of ``needed`` if more."""
+        self.capacity = max(needed, 2 * self.capacity)
+        self._spares.clear()
+        for name in self._names():
+            column = getattr(self, name)
+            buffer = np.empty(column.shape[:-1] + (self.capacity,), column.dtype)
+            buffer[..., : column.shape[-1]] = column
+            self._buffers[name] = buffer
 
 
 def cohort_size(iteration: int, n0: int, alpha: float) -> int:

@@ -17,16 +17,16 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from . import retention, serverfi
-from .core import MAX_SEED, EconParams, IterationRecord, derive_stream
+from .core import MAX_SEED, STORE_FACTOR, EconParams, IterationRecord, derive_stream
 
 # model modules: new_state(params, econ), step(state, rng) and
 # state_columns(params), with params the ExperimentSpec field of that name
 MODELS = {"serverfi": serverfi, "retention": retention}
 
-# Run budget, checked before simulating. MAX_STATE_BYTES bounds the
-# population's state columns (the step's temporaries take a few times as
-# much); MAX_RECORDS bounds the iteration x repeat records an experiment
-# holds, one to two KiB each.
+# Run budget, checked before simulating. MAX_STATE_BYTES bounds what the
+# population's column store may allocate (the step's temporaries take a few
+# times its live columns); MAX_RECORDS bounds the iteration x repeat records
+# an experiment holds, one to two KiB each.
 MAX_STATE_BYTES = 2**30
 MAX_RECORDS = 2**20
 
@@ -91,9 +91,12 @@ def _check_budget(spec: ExperimentSpec) -> None:
     """Refuse a run whose state or records would exceed the run budget.
 
     Cohorts shrink geometrically, so at most ``n0 * min(iterations,
-    ceil(alpha / (alpha - 1)))`` players ever join; each holds 8 bytes per
-    state column, ``state_columns(params)`` of them. The budget counts at
-    least one player, so an oversized ring is refused even with no arrivals.
+    ceil(alpha / (alpha - 1)))`` players ever join. Each holds 8 bytes per
+    state column, ``state_columns(params)`` of them, and the column store
+    allocates up to ``STORE_FACTOR`` (4) times that per player: buffers
+    grown by doubling, plus the spare buffer it compacts into. The budget
+    counts at least one player, so an oversized ring is refused even with
+    no arrivals.
     """
     if spec.iterations * spec.repeats > MAX_RECORDS:
         raise ValueError(
@@ -101,7 +104,7 @@ def _check_budget(spec: ExperimentSpec) -> None:
             f"is more than {MAX_RECORDS} records"
         )
     params = getattr(spec, spec.model)
-    player_bytes = 8 * MODELS[spec.model].state_columns(params)
+    player_bytes = STORE_FACTOR * 8 * MODELS[spec.model].state_columns(params)
     cohorts = min(spec.iterations, math.ceil(params.alpha / (params.alpha - 1)))
     players = max(params.n0 * cohorts, 1)
     if players * player_bytes > MAX_STATE_BYTES:

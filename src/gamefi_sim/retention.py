@@ -181,18 +181,25 @@ def _ring_totals(ring: np.ndarray) -> np.ndarray:
     return out
 
 
-def _top_indices(totals: np.ndarray, count: int) -> np.ndarray:
-    """Indices of the ``count`` highest totals, best first, ties to the lower index.
+def _top_winners(totals: np.ndarray, count: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Mask of the ``count`` highest totals (ties to the lower index), and their values best first.
 
-    Equal to ``np.lexsort((np.arange(len(totals)), -totals))[:count]``: a
-    partition finds the ``count``-th best total, and a stable sort orders
-    only the indices at or above it (ties at the threshold included),
-    which are already ascending.
+    With ``ref = np.lexsort((np.arange(len(totals)), -totals))[:count]``
+    the mask marks the indices in ``ref``. One sort of the negated totals
+    gives the values; on positive totals they equal ``totals[ref]`` bit for
+    bit, since equal non-zero floats have equal bits, so the order within a
+    tie does not show. The ``count``-th sorted value is the threshold: the
+    winners are the totals above it plus the lowest-index totals tied at it.
     """
-    neg = -totals
-    threshold = np.partition(neg, count - 1)[count - 1]
-    candidates = np.flatnonzero(neg <= threshold)
-    return candidates[np.argsort(neg[candidates], kind="stable")[:count]]
+    ranked = -totals
+    ranked.sort()
+    threshold = ranked[count - 1]
+    winners = totals >= -threshold
+    if count < len(totals) and ranked[count] == threshold:
+        # the cut splits a tie: only its first count - above members win
+        above = int(np.searchsorted(ranked, threshold))
+        winners[np.flatnonzero(totals == -threshold)[count - above:]] = False
+    return winners, -ranked[:count]
 
 
 @dataclass
@@ -204,8 +211,11 @@ class RetentionState(Population):
     with shape ``(window, n)``: row ``(i - 1) % window`` holds every
     player's iteration-``i`` contribution, so recording an iteration writes
     one contiguous row, and a player's trailing-window total is their
-    column sum. Columns are zero-filled at join, and departed players take
-    their columns (and thus their ledger history) with them.
+    column sum. It is a view of a ``(window, capacity)`` buffer, so only
+    its rows are contiguous; every pass over it goes row by row (see
+    :class:`~gamefi_sim.core.Population`). Columns are zero-filled at join,
+    and departed players take their columns (and thus their ledger
+    history) with them.
     """
 
     COLUMNS = ("tolerance", "misses", "window_matrix")
@@ -236,9 +246,10 @@ def step(
     joiner (tolerance), then one normal per survivor.
 
     Ranking orders by window total, highest first, with ties to the lower
-    id. Only the winners are ordered: a partition picks the players at or
-    above the winning threshold and a stable sort ranks those. The stable
-    sort breaks ties by index, which is id order because ``state.ids`` is
+    id. One sort of the negated totals gives the winning threshold and the
+    winners' totals in rank order, which the payout sums run over; the
+    winners are the players above the threshold plus the lowest-index
+    players tied at it. Index order is id order because ``state.ids`` is
     strictly increasing (see :class:`~gamefi_sim.core.Population`).
     """
     p = state.params
@@ -256,7 +267,7 @@ def step(
     n = state.active_players
 
     # (2) contributions land in the ring buffer
-    total_value = float(np.sum(state.productivity))
+    total_value = float(state.productivity.sum())
     winner_count = 0
     payout_total = 0.0
     window_total_sum = 0.0
@@ -266,23 +277,23 @@ def step(
 
         # (3) rank by trailing-window totals, pay the top fraction
         totals = _ring_totals(state.window_matrix)
-        window_total_sum = float(np.sum(totals))
+        window_total_sum = float(totals.sum())
         winner_count = max(1, int(math.floor(p.top_fraction * n)))
-        winner_idx = _top_indices(totals, winner_count)
+        winners, winner_totals = _top_winners(totals, winner_count)
         pool = p.pool_share * window_total_sum
         if p.equal_split:
             amounts = np.full(winner_count, pool / winner_count)
         else:
-            winner_sum = float(np.sum(totals[winner_idx]))
+            winner_sum = float(winner_totals.sum())
             if winner_sum <= 0.0:
                 amounts = np.full(winner_count, pool / winner_count)
             else:
-                amounts = pool * totals[winner_idx] / winner_sum
-        payout_total = float(np.sum(amounts))
+                amounts = pool * winner_totals / winner_sum
+        payout_total = float(amounts.sum())
 
         # (4) misses and churn
         state.misses += 1
-        state.misses[winner_idx] = 0
+        state.misses[winners] = 0
         leave = state.misses > state.tolerance
         departures = int(np.count_nonzero(leave))
         if departures:
@@ -290,7 +301,7 @@ def step(
 
     # (5) mutation of survivors
     if state.active_players:
-        state.productivity = mutate_productivity_batch(state.productivity, rng, econ)
+        state.productivity[...] = mutate_productivity_batch(state.productivity, rng, econ)
 
     state.iteration = i
     record = IterationRecord(

@@ -192,9 +192,11 @@ class ServerFiState(Population):
 
     ``by_type`` holds the counts column-major, ``(k, n)``, and ``counts``
     is its ``(n, k)`` transposed view. Each per-type pass of the step (the
-    mint minimum, the missing-type scan) reads one contiguous row, and the
-    lottery scatter-adds into the flat view ``by_type.reshape(-1)`` at
-    ``type * n + player``, a view because every column is C-contiguous.
+    mint minimum, the missing-type scan) reads one contiguous row. The
+    lottery scatter-adds into the flat view of the ``(k, capacity)``
+    backing buffer at ``type * capacity + player``: ``by_type`` itself is
+    not C-contiguous while ``capacity > n``, so its ``reshape(-1)`` would
+    be a copy (see :class:`~gamefi_sim.core.Population`).
     """
 
     COLUMNS = ("draw_credit", "by_type", "staked")
@@ -260,10 +262,11 @@ def step(state: ServerFiState, rng: np.random.Generator) -> Tuple[ServerFiState,
     by_type = state.by_type
 
     # (2) contributions
-    total_value = float(np.sum(state.productivity))
+    total_value = float(state.productivity.sum())
 
     # (3) draws, lottery, synthesis (minted NFTs stake immediately)
-    credit = state.draw_credit + state.productivity
+    credit = state.draw_credit
+    credit += state.productivity
     num_draws = credit / p.lam
     np.floor(num_draws, out=num_draws)
     credit -= num_draws * p.lam
@@ -283,13 +286,12 @@ def step(state: ServerFiState, rng: np.random.Generator) -> Tuple[ServerFiState,
             "econ.productivity_* values or raise serverfi.lambda"
         )
     draws_total = int(draws_total)
-    state.draw_credit = credit
     if draws_total:
         frag = draw_fragments(rng, draws_total, p.k)
         drawers = np.flatnonzero(num_draws > 0)
-        frag *= n
+        frag *= state.capacity
         frag += np.repeat(drawers, num_draws[drawers].astype(np.int64))
-        np.add.at(by_type.reshape(-1), frag, 1)
+        np.add.at(state.buffer("by_type").reshape(-1), frag, 1)
     minted = by_type.min(axis=0)
     minters = np.flatnonzero(minted > 0)
     minted = minted[minters]
@@ -321,12 +323,12 @@ def step(state: ServerFiState, rng: np.random.Generator) -> Tuple[ServerFiState,
             departures = int(leave.sum())
     if departures:
         fragments_departed = int(by_type.sum(axis=0)[leave].sum())
-        credit_departed = float(np.sum(state.draw_credit[leave]))
+        credit_departed = float(state.draw_credit[leave].sum())
         state.keep(~leave)
 
     # (6) mutation of survivors
     if state.active_players:
-        state.productivity = mutate_productivity_batch(state.productivity, rng, econ)
+        state.productivity[...] = mutate_productivity_batch(state.productivity, rng, econ)
 
     state.iteration = i
     record = IterationRecord(
@@ -342,7 +344,7 @@ def step(state: ServerFiState, rng: np.random.Generator) -> Tuple[ServerFiState,
             "draws": float(draws_total),
             "inventory_total": float(state.by_type.sum()),
             "fragments_departed": float(fragments_departed),
-            "draw_credit_total": float(np.sum(state.draw_credit)),
+            "draw_credit_total": float(state.draw_credit.sum()),
             "credit_departed": credit_departed,
         },
     )

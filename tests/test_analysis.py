@@ -85,6 +85,17 @@ class TestSeriesCsv:
         with pytest.raises(ValueError, match="iteration column"):
             read_series_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", " Infinity"])
+    @pytest.mark.parametrize("column", [1, 2, 3, 4])
+    def test_read_rejects_non_finite_values(self, tmp_path, cell, column):
+        parts = ["2", "1", "1", "1", "1"]
+        parts[column] = cell
+        path = tmp_path / "bad.csv"
+        path.write_text(CSV_HEADER + "\n1,1,1,1,1\n" + ",".join(parts) + "\n", encoding="utf-8")
+        name = CSV_HEADER.split(",")[column]
+        with pytest.raises(ValueError, match=rf"^row 2: {name}={cell.strip()} is not finite$"):
+            read_series_csv(path)
+
 
 class TestTrendReport:
     def test_strictly_increasing(self):

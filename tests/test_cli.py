@@ -356,6 +356,20 @@ class TestReport:
         path.write_text("nope\n", encoding="utf-8")
         assert cli_main(["report", "--in", str(path)]) == 1
 
+    def test_non_finite_cell_exits_one_without_a_report(self, config_path, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert cli_main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        fields = lines[5].split(",")
+        fields[1] = "nan"
+        lines[5] = ",".join(fields)
+        out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert cli_main(["report", "--in", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: row 5: mean_total_value=nan is not finite\n"
+
     def test_short_series_exits_one(self, config_path, tmp_path, capsys):
         out = tmp_path / "short.csv"
         cli_main(

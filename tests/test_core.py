@@ -105,20 +105,50 @@ class TestPopulation:
         assert store.grid.shape == (3, 5) and store.grid.dtype == np.int64
         assert not store.grid.any()
 
-    def test_keep_compresses_every_column_into_c_contiguous_arrays(self):
+    def test_join_within_capacity_reuses_the_buffer(self):
+        store = Store(None, EconParams())
+        store.join(np.array([1.0, 2.0]))
+        store.join(np.array([3.0]), score=np.array([7.0]))
+        assert store.capacity == 4
+        grid, score = store.buffer("grid"), store.buffer("score")
+        store.grid += 5
+        store.join(np.array([4.0]), score=np.array([8.0]))
+        assert store.capacity == 4
+        assert np.shares_memory(store.grid, grid) and np.shares_memory(store.score, score)
+        assert store.grid.tolist() == [[5, 5, 5, 0]] * 3
+        assert store.score.tolist() == [0.0, 0.0, 7.0, 8.0]
+        # a full buffer doubles and keeps what it held
+        store.join(np.array([5.0]))
+        assert store.capacity == 8 and not np.shares_memory(store.grid, grid)
+        assert store.grid.tolist() == [[5, 5, 5, 0, 0]] * 3
+        assert store.ids.tolist() == [0, 1, 2, 3, 4]
+        assert store.productivity.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+
+    def test_keep_compacts_every_column_into_a_reused_spare_buffer(self):
         store = Store(None, EconParams())
         store.join(np.arange(6.0), score=np.arange(6.0) * 10)
-        store.grid += np.arange(6)
-        store.keep(np.array([True, False, True, True, False, True]))
-        assert store.active_players == 4 and store.next_id == 6
+        store.join(np.arange(6.0, 7.0))
+        store.grid += np.arange(7)
+        first = store.buffer("grid")
+        store.keep(np.array([True, False, True, True, False, True, False]))
+        assert store.active_players == 4 and store.next_id == 7 and store.capacity == 12
         assert store.ids.tolist() == [0, 2, 3, 5]
         assert store.productivity.tolist() == [0.0, 2.0, 3.0, 5.0]
         assert store.score.tolist() == [0.0, 20.0, 30.0, 50.0]
         assert store.grid.tolist() == [[0, 2, 3, 5]] * 3
-        # the flat view of a 2-D column is a view, so writes through it land
-        assert store.grid.flags.c_contiguous
-        store.grid.reshape(-1)[0] = 9
-        assert store.grid[0, 0] == 9
+        spare = store.buffer("grid")
+        assert np.shares_memory(store.grid, spare) and not np.shares_memory(spare, first)
+        # a second keep compacts back into the first buffer
+        store.keep(np.array([False, True, True, True]))
+        assert store.buffer("grid") is first and store.ids.tolist() == [2, 3, 5]
+        assert store.grid.tolist() == [[2, 3, 5]] * 3
+        # a strided 2-D column: entry (row, j) sits at row * capacity + j of
+        # the buffer's flat view, and the column's own reshape(-1) is a copy
+        assert not store.grid.flags.c_contiguous
+        store.buffer("grid").reshape(-1)[1 * store.capacity + 2] = 9
+        assert store.grid[1].tolist() == [2, 3, 9]
+        store.grid.reshape(-1)[0] = -1
+        assert store.grid[0, 0] == 2
 
 
 class TestCohortSize:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gamefi_sim import harness, serverfi
-from gamefi_sim.core import EconParams, IterationRecord, derive_stream
+from gamefi_sim.core import STORE_FACTOR, EconParams, IterationRecord, derive_stream
 from gamefi_sim.harness import (
     AggregateSeries,
     ExperimentSpec,
@@ -88,11 +88,45 @@ class TestValidateSpec:
 
     def test_budget_bounds_population_by_the_geometric_series(self):
         # at most n0 * ceil(1.5 / 0.5) = 3 * n0 players join, however many
-        # iterations run: 3e6 players x 40 bytes fits, 3e7 does not
+        # iterations run: 3e6 players x 4 x 40 bytes fits, 3e7 does not
         spec = ExperimentSpec(iterations=10**6, repeats=1)
         validate_spec(spec.with_overrides(serverfi=ServerFiParams(n0=10**6, alpha=1.5, k=1)))
         with pytest.raises(ValueError, match="run budget exceeded"):
             validate_spec(spec.with_overrides(serverfi=ServerFiParams(n0=10**7, alpha=1.5, k=1)))
+
+    def test_budget_counts_what_the_store_allocates(self):
+        # k=1: 40 bytes of columns per player, up to 4 x 40 allocated, so
+        # 6e6 players (960 MB) fit and 9e6 (1.44 GB) do not, although their
+        # 360 MB of live columns would
+        spec = ExperimentSpec(iterations=10**6, repeats=1)
+        fits = ServerFiParams(n0=2 * 10**6, alpha=1.5, k=1)
+        refused = ServerFiParams(n0=3 * 10**6, alpha=1.5, k=1)
+        validate_spec(spec.with_overrides(serverfi=fits))
+        with pytest.raises(ValueError, match="run budget exceeded"):
+            validate_spec(spec.with_overrides(serverfi=refused))
+
+    @pytest.mark.parametrize(
+        "model, params",
+        [
+            ("serverfi", ServerFiParams(
+                k=4, n0=40, alpha=1.05, staking_share=0.01, payoff_horizon=5)),
+            ("retention", RetentionParams(n0=40, alpha=1.03, tolerance_min=1, tolerance_max=3)),
+        ],
+        ids=["serverfi", "retention"],
+    )
+    def test_store_allocates_within_the_budgeted_factor(self, model, params):
+        # churn leaves the peak's buffer and a spare: more than the live
+        # columns, never more than the budget's factor of the peak
+        module = harness.MODELS[model]
+        state = module.new_state(params, EconParams())
+        rng = derive_stream(8, 0)
+        peak = departures = 0
+        for _ in range(80):
+            record = module.step(state, rng)[1]
+            peak = max(peak, record.active_players)
+            departures += record.departures
+            assert state.nbytes <= STORE_FACTOR * 8 * module.state_columns(params) * peak
+        assert departures > 0 and state.nbytes > 8 * module.state_columns(params) * peak
 
 
 class TestModelRegistry:

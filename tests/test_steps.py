@@ -318,24 +318,27 @@ class TestServerFiStep:
         joins = [serverfi.step(state, rng)[1].joins for _ in range(6)]
         assert joins == [30, 0, 0, 0, 0, 0]
 
-    def test_counts_stay_a_view_of_contiguous_type_rows(self):
-        # the lottery scatter-adds into by_type.reshape(-1), which is a view
-        # only while by_type is C-contiguous; churn here leaves survivors
+    def test_matches_scalar_reference_while_capacity_exceeds_the_population(self):
+        # the lottery scatter-adds into the flat view of by_type's
+        # (k, capacity) buffer; once churn leaves survivors below capacity,
+        # by_type is strided and its own reshape(-1) would be a copy
         params = ServerFiParams(
             lam=2.0, k=4, n0=40, alpha=1.05, staking_share=0.01, payoff_horizon=5
         )
         state = serverfi.new_state(params, EconParams())
         rng = derive_stream(8, 0)
-        seen = set()
+        strided_lotteries = 0
+        churned = False
         for _ in range(60):
             record = serverfi.step(state, rng)[1]
-            if record.joins:
-                seen.add("join")
-            if record.departures:
-                seen.add("leave")
-            assert state.counts.shape == (state.active_players, params.k)
-            assert state.counts.T.flags.c_contiguous
-        assert seen == {"join", "leave"}
+            # only a join grows the capacity, so the lottery saw this one
+            if churned and record.extra["draws"] and state.capacity > record.active_players:
+                strided_lotteries += 1
+            if 0 < state.active_players < state.capacity:
+                assert not state.by_type.flags.c_contiguous
+            churned = churned or (record.departures > 0 and state.active_players > 0)
+        assert strided_lotteries > 0
+        run_serverfi_against_reference(params, EconParams(), 8, 60)
 
     def test_too_many_draws_in_one_iteration_is_refused(self):
         params = ServerFiParams(k=1, n0=3)
@@ -573,18 +576,28 @@ class TestRetentionBitIdentity:
     def test_top_indices_equal_full_lexsort_under_heavy_ties(self, n):
         rng = np.random.default_rng(n)
         rows = np.arange(n)
-        # four distinct totals (one of them -0.0 against 0.0): every
-        # threshold falls inside a tie group
-        totals = np.array([0.0, -0.0, 1.5, 3.25])[rng.integers(0, 4, n)]
+        # four distinct totals in each array (one pair -0.0 against 0.0):
+        # every threshold falls inside a tie group
+        signed_zero = np.array([0.0, -0.0, 1.5, 3.25])[rng.integers(0, 4, n)]
+        positive = np.array([0.25, 1.5, 3.25, 7.0])[rng.integers(0, 4, n)]
         for count in sorted({1, max(1, n // 5), max(1, n // 2), n}):
-            expected = np.lexsort((rows, -totals))[:count]
-            assert retention._top_indices(totals, count).tolist() == expected.tolist()
+            for totals in (signed_zero, positive):
+                expected = np.lexsort((rows, -totals))[:count]
+                winners, winner_totals = retention._top_winners(totals, count)
+                assert np.flatnonzero(winners).tolist() == sorted(expected.tolist())
+                # equal values; on positive totals equal bits as well
+                assert winner_totals.tolist() == totals[expected].tolist()
+                if totals is positive:
+                    assert winner_totals.tobytes() == totals[expected].tobytes()
 
     def test_top_indices_equal_full_lexsort_on_distinct_totals(self):
         rng = np.random.default_rng(5)
         totals = rng.lognormal(size=5_000)
-        expected = np.lexsort((np.arange(5_000), -totals))[:1_000]
-        assert retention._top_indices(totals, 1_000).tolist() == expected.tolist()
+        for count in (1, 1_000, 2_500, 5_000):
+            expected = np.lexsort((np.arange(5_000), -totals))[:count]
+            winners, winner_totals = retention._top_winners(totals, count)
+            assert np.flatnonzero(winners).tolist() == sorted(expected.tolist())
+            assert winner_totals.tobytes() == totals[expected].tobytes()
 
     def test_ring_totals_equal_row_major_sum_for_every_window(self):
         rng = np.random.default_rng(11)
