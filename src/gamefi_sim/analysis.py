@@ -9,7 +9,7 @@ peak position, and how much of the peak survives to the end).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Dict, List, Union
 
@@ -17,7 +17,9 @@ import numpy as np
 
 from .harness import AggregateSeries
 
-CSV_HEADER = "iteration,mean_total_value,min_total_value,max_total_value,mean_active_players"
+# one column per AggregateSeries field, in field order, after the iteration
+SERIES_COLUMNS = tuple(field.name for field in fields(AggregateSeries))
+CSV_HEADER = ",".join(("iteration",) + SERIES_COLUMNS)
 
 # fraction of the series used for the late-trend slope, and the cutoff
 # (as a fraction of the run) under which a peak counts as "early"
@@ -25,6 +27,12 @@ LATE_WINDOW_FRACTION = 0.8
 EARLY_PEAK_FRACTION = 0.4
 
 MIN_TREND_LENGTH = 10
+
+# coupon_oracle holds 8 arrays of 8 bytes per trial at its peak (tracemalloc
+# measures 64 bytes per trial); its trials are capped to keep that within 1 GiB
+ORACLE_MAX_BYTES = 2**30
+ORACLE_BYTES_PER_TRIAL = 64
+ORACLE_MAX_TRIALS = ORACLE_MAX_BYTES // ORACLE_BYTES_PER_TRIAL
 
 
 @dataclass(frozen=True)
@@ -42,12 +50,7 @@ class TrendReport:
     early_peak: bool
 
     def to_dict(self) -> Dict[str, Union[float, int, bool]]:
-        return {
-            "late_slope": self.late_slope,
-            "peak_iteration": self.peak_iteration,
-            "final_to_peak_ratio": self.final_to_peak_ratio,
-            "early_peak": self.early_peak,
-        }
+        return asdict(self)
 
 
 def _fmt(x: float) -> str:
@@ -61,19 +64,10 @@ def write_series_csv(series: AggregateSeries, destination: Union[str, Path]) -> 
     Reals carry 6 significant digits; rewriting the same series produces a
     byte-identical file.
     """
+    columns = [getattr(series, name) for name in SERIES_COLUMNS]
     lines = [CSV_HEADER]
     for idx in range(len(series)):
-        lines.append(
-            ",".join(
-                (
-                    str(idx + 1),
-                    _fmt(series.mean_total_value[idx]),
-                    _fmt(series.min_total_value[idx]),
-                    _fmt(series.max_total_value[idx]),
-                    _fmt(series.mean_active_players[idx]),
-                )
-            )
-        )
+        lines.append(",".join([str(idx + 1)] + [_fmt(column[idx]) for column in columns]))
     payload = "\n".join(lines) + "\n"
     with open(destination, "w", encoding="utf-8", newline="") as handle:
         handle.write(payload)
@@ -85,14 +79,12 @@ def read_series_csv(source: Union[str, Path]) -> AggregateSeries:
         lines = [line.rstrip("\n") for line in handle if line.strip()]
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"expected CSV header '{CSV_HEADER}'")
-    mean_tv: List[float] = []
-    min_tv: List[float] = []
-    max_tv: List[float] = []
-    mean_ap: List[float] = []
+    columns: List[List[float]] = [[] for _ in SERIES_COLUMNS]
+    width = 1 + len(SERIES_COLUMNS)
     for row_number, line in enumerate(lines[1:], start=1):
         parts = line.split(",")
-        if len(parts) != 5:
-            raise ValueError(f"row {row_number}: expected 5 columns, got {len(parts)}")
+        if len(parts) != width:
+            raise ValueError(f"row {row_number}: expected {width} columns, got {len(parts)}")
         try:
             iteration = int(parts[0])
             values = [float(part) for part in parts[1:]]
@@ -100,18 +92,19 @@ def read_series_csv(source: Union[str, Path]) -> AggregateSeries:
             raise ValueError(f"row {row_number}: {exc}") from None
         if iteration != row_number:
             raise ValueError(f"row {row_number}: iteration column is {iteration}")
-        for name, part, value in zip(CSV_HEADER.split(",")[1:], parts[1:], values):
+        for column, name, part, value in zip(columns, SERIES_COLUMNS, parts[1:], values):
             if not math.isfinite(value):
                 raise ValueError(f"row {row_number}: {name}={part.strip()} is not finite")
-        mean_tv.append(values[0])
-        min_tv.append(values[1])
-        max_tv.append(values[2])
-        mean_ap.append(values[3])
-    return AggregateSeries(mean_tv, min_tv, max_tv, mean_ap)
+            column.append(value)
+    return AggregateSeries(*columns)
 
 
 def trend_report(series: AggregateSeries) -> TrendReport:
-    """Compute the trend metrics for a series of at least 10 iterations."""
+    """Compute the trend metrics for a series of at least 10 iterations.
+
+    A slope or ratio too large for a float raises ValueError, so a report
+    never holds ``inf`` (which is not JSON).
+    """
     n = len(series)
     if n < MIN_TREND_LENGTH:
         raise ValueError(f"trend report requires at least {MIN_TREND_LENGTH} iterations")
@@ -124,8 +117,10 @@ def trend_report(series: AggregateSeries) -> TrendReport:
     try:
         y_bar = math.fsum(late_y) / late_count
         sxy = math.fsum((x - x_bar) * (y - y_bar) for x, y in zip(late_x, late_y))
-    except OverflowError:
-        raise ValueError("trend report: the late slope overflows a float") from None
+    except (OverflowError, ValueError):
+        # fsum raises OverflowError on a sum too large for a float, and
+        # ValueError on "-inf + inf" when some y - y_bar overflow both ways
+        sxy = math.inf
     sxx = math.fsum((x - x_bar) ** 2 for x in late_x)
     late_slope = sxy / sxx
 
@@ -133,6 +128,9 @@ def trend_report(series: AggregateSeries) -> TrendReport:
     peak_value = means[peak_idx]
     final_value = means[-1]
     ratio = final_value / peak_value if peak_value > 0 else 1.0
+    for name, value in (("late slope", late_slope), ("final-to-peak ratio", ratio)):
+        if not math.isfinite(value):
+            raise ValueError(f"trend report: the {name} overflows a float")
     return TrendReport(
         late_slope=late_slope,
         peak_iteration=peak_idx + 1,
@@ -153,6 +151,11 @@ def coupon_oracle(k: int, trials: int, rng: np.random.Generator) -> float:
         raise ValueError("k must be at least 1")
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if trials > ORACLE_MAX_TRIALS:
+        raise ValueError(
+            f"trials must be at most {ORACLE_MAX_TRIALS} ({ORACLE_BYTES_PER_TRIAL} bytes "
+            f"per trial within {ORACLE_MAX_BYTES} bytes)"
+        )
     if k > 63:
         raise ValueError("oracle supports at most 63 fragment types")
     target = (1 << k) - 1

@@ -11,10 +11,11 @@ Exit codes: 0 success, 1 validation/usage error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from .analysis import (
     MIN_TREND_LENGTH,
@@ -44,6 +45,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+class _IOFailure(Exception):
+    """A read or write that failed with an OSError; the message says which."""
+
+
+@contextlib.contextmanager
+def _io_failure(prefix: str) -> Iterator[None]:
+    """Re-raise an OSError from the block as ``_IOFailure(f"{prefix}: {exc}")``."""
+    try:
+        yield
+    except OSError as exc:
+        raise _IOFailure(f"{prefix}: {exc}") from exc
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="gamefi-sim", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
@@ -58,14 +72,17 @@ def _build_parser() -> _Parser:
     simulate.add_argument("--workers", type=int, default=1,
                           help="process pool size for repeats, capped at the repeat and CPU counts "
                                "(result is identical for any value)")
+    simulate.set_defaults(run=_cmd_simulate)
 
     report = sub.add_parser("report", help="recompute trend metrics from a series CSV")
     report.add_argument("--in", dest="source", required=True, help="path to a series CSV")
+    report.set_defaults(run=_cmd_report)
 
     oracle = sub.add_parser("oracle", help="compare analytic collection cost with brute force")
     oracle.add_argument("--k", type=int, required=True, help="number of fragment types")
     oracle.add_argument("--trials", type=int, required=True, help="simulated collections")
     oracle.add_argument("--seed", type=int, default=0, help="stream seed")
+    oracle.set_defaults(run=_cmd_oracle)
     return parser
 
 
@@ -104,113 +121,82 @@ def _write_outputs(outputs: List[Tuple[str, Callable[[str], None]]]) -> None:
         raise
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        spec = parse_config(text)
-        overrides = {}
-        if args.seed is not None:
-            overrides["master_seed"] = args.seed
-        if args.iterations is not None:
-            overrides["iterations"] = args.iterations
-        if args.repeats is not None:
-            overrides["repeats"] = args.repeats
-        if overrides:
-            spec = spec.with_overrides(**overrides)
-        validate_spec(spec)
-        if args.workers < 1:
-            raise ConfigError("workers must be at least 1")
-        if args.report is not None and spec.iterations < MIN_TREND_LENGTH:
-            raise ConfigError(
-                f"--report requires at least {MIN_TREND_LENGTH} iterations, got {spec.iterations}"
-            )
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        # a run can still fail validation midway, e.g. on too many lottery
-        # draws or a float overflow, and so can its mean or trend
-        series, _ = run_experiment(spec, workers=args.workers)
-        outputs: List[Tuple[str, Callable[[str], None]]] = [
-            (args.out, lambda path: write_series_csv(series, path))
-        ]
-        if args.report is not None:
-            payload = json.dumps(trend_report(series).to_dict(), indent=2) + "\n"
-            outputs.append((args.report, lambda path: _write_text(path, payload)))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
+def _cmd_simulate(args: argparse.Namespace) -> None:
+    with _io_failure("cannot read config"), open(args.config, "r", encoding="utf-8") as handle:
+        text = handle.read()
+    spec = parse_config(text)
+    overrides = {}
+    if args.seed is not None:
+        overrides["master_seed"] = args.seed
+    if args.iterations is not None:
+        overrides["iterations"] = args.iterations
+    if args.repeats is not None:
+        overrides["repeats"] = args.repeats
+    if overrides:
+        spec = spec.with_overrides(**overrides)
+    validate_spec(spec)
+    if args.report is not None and spec.iterations < MIN_TREND_LENGTH:
+        raise ConfigError(
+            f"--report requires at least {MIN_TREND_LENGTH} iterations, got {spec.iterations}"
+        )
+    # run_experiment refuses --workers < 1 before it simulates; a run can
+    # still fail validation midway, e.g. on too many lottery draws or a float
+    # overflow, and so can its mean or trend
+    series, _ = run_experiment(spec, workers=args.workers)
+    outputs: List[Tuple[str, Callable[[str], None]]] = [
+        (args.out, lambda path: write_series_csv(series, path))
+    ]
+    if args.report is not None:
+        payload = json.dumps(trend_report(series).to_dict(), indent=2) + "\n"
+        outputs.append((args.report, lambda path: _write_text(path, payload)))
+    with _io_failure("cannot write output"):
         _write_outputs(outputs)
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
     print(
         f"wrote {args.out} (model={spec.model}, "
         f"{spec.iterations} iterations x {spec.repeats} repeats, seed={spec.master_seed})"
     )
-    return EXIT_OK
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    try:
+def _cmd_report(args: argparse.Namespace) -> None:
+    with _io_failure("cannot read series"):
         series = read_series_csv(args.source)
-    except OSError as exc:
-        print(f"error: cannot read series: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        report = trend_report(series)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    print(json.dumps(report.to_dict(), indent=2))
-    return EXIT_OK
+    print(json.dumps(trend_report(series).to_dict(), indent=2))
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
-    try:
-        if args.k < 1:
-            raise ValueError("k must be at least 1")
-        if args.trials < 1:
-            raise ValueError("trials must be at least 1")
-        rng = derive_stream(args.seed, 0)
-        estimate = coupon_oracle(args.k, args.trials, rng)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+def _cmd_oracle(args: argparse.Namespace) -> None:
+    # coupon_oracle refuses k and trials out of range before it allocates
+    estimate = coupon_oracle(args.k, args.trials, derive_stream(args.seed, 0))
     analytic = expected_collection_cost(args.k, 1.0)
     relative = abs(estimate - analytic) / analytic
     print(f"analytic_cost={analytic:.6g}")
     print(f"monte_carlo_mean={estimate:.6g}")
     print(f"relative_error={relative:.6g}")
-    return EXIT_OK
 
 
 def cli_main(argv: Optional[List[str]] = None) -> int:
+    """Run one subcommand and return its exit code.
+
+    This is the one place an exception becomes an exit code. A usage error
+    or a ValueError (a ConfigError, a file that is not UTF-8, a run that
+    fails validation midway) exits 1; a failed read or write exits 2. A
+    failure prints exactly one ``error:`` line to stderr.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command is None:
+            raise _UsageError("a subcommand is required (simulate, report, oracle)")
+        args.run(args)
+        return EXIT_OK
     except _UsageError as exc:
         parser.print_usage(sys.stderr)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        print("error: a subcommand is required (simulate, report, oracle)", file=sys.stderr)
-        return EXIT_VALIDATION
-    if args.command == "simulate":
-        return _cmd_simulate(args)
-    if args.command == "report":
-        return _cmd_report(args)
-    return _cmd_oracle(args)
+        message, code = str(exc), EXIT_VALIDATION
+    except ValueError as exc:
+        message, code = str(exc), EXIT_VALIDATION
+    except _IOFailure as exc:
+        message, code = str(exc), EXIT_IO
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def main() -> None:

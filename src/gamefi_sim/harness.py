@@ -59,7 +59,8 @@ class AggregateSeries:
 
     ``min``/``max`` bound the range across repeats and ``mean`` is the
     cross-repeat average, each indexed by iteration (position 0 holds
-    iteration 1).
+    iteration 1). The fields, in order, are the series CSV's columns after
+    ``iteration`` (see ``analysis.CSV_HEADER``).
     """
 
     mean_total_value: List[float]

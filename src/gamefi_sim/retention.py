@@ -284,11 +284,8 @@ def step(
         if p.equal_split:
             amounts = np.full(winner_count, pool / winner_count)
         else:
-            winner_sum = float(winner_totals.sum())
-            if winner_sum <= 0.0:
-                amounts = np.full(winner_count, pool / winner_count)
-            else:
-                amounts = pool * winner_totals / winner_sum
+            # no zero-sum case: each player's current entry is >= productivity_floor > 0
+            amounts = pool * winner_totals / float(winner_totals.sum())
         payout_total = float(amounts.sum())
 
         # (4) misses and churn

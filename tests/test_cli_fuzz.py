@@ -1,4 +1,4 @@
-"""Property test: ``simulate`` either runs or fails cleanly, whatever its input.
+"""Property tests: ``simulate`` and ``report`` run or fail cleanly, whatever their input.
 
 Hypothesis builds config documents (valid, invalid, mistyped, non-finite,
 malformed JSON) and flag sets. Every call must return 0, 1 or 2, raise
@@ -12,6 +12,11 @@ exit 1. A huge productivity mean, floor or entry sigma must either run or
 exit 1 on the draws limit or a float overflow. Only ``mutation_sigma`` and
 ``--workers`` stay small-only. Every other field also gets huge and
 non-finite values.
+
+Two more properties write raw bytes, arbitrary or a valid config or series
+CSV with arbitrary bytes spliced in, as ``simulate``'s config and as
+``report``'s CSV. The same rule holds, and a report that exits 0 prints
+strict JSON (no ``NaN`` or ``Infinity``).
 """
 
 import contextlib
@@ -28,6 +33,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from gamefi_sim.analysis import CSV_HEADER  # noqa: E402
 from gamefi_sim.cli import cli_main  # noqa: E402
 
 BAD_SCALARS = st.one_of(
@@ -155,19 +161,100 @@ def test_simulate_exits_cleanly_and_never_leaves_partial_output(
         argv = ["simulate", "--config", config, "--out", out] + extra
         if report:
             argv += ["--report", os.path.join(root, "report.json")]
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = cli_main(argv)
-        err = stderr.getvalue()
+        code, _, err = call(argv)
         left = sorted(os.listdir(root))
+    outputs = ["run.csv"] + (["report.json"] if report else [])
+    assert_exits_cleanly(code, err, left, ["config.json"], outputs)
 
+
+def call(argv):
+    """Run ``cli_main(argv)`` with warnings as errors; return code, stdout, stderr."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli_main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def assert_exits_cleanly(code, err, left, inputs, outputs):
+    """Exit 0 writes every output and no error; exit 1 or 2 one ``error:`` line
+    and no output. Either way only the inputs and outputs are left."""
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     if code == 0:
         assert err == ""
-        assert left == sorted(["config.json", "run.csv"] + (["report.json"] if report else []))
+        assert left == sorted(inputs + outputs)
     else:
         assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
-        assert left == ["config.json"]
+        assert left == sorted(inputs)
+
+
+def splice(parts):
+    text, junk, at = parts
+    cut = int(at * len(text))
+    return text[:cut] + junk + text[cut:]
+
+
+def raw(valid):
+    """Arbitrary bytes, or the bytes of ``valid`` with arbitrary bytes spliced in."""
+    return st.one_of(
+        st.binary(max_size=80),
+        st.tuples(valid, st.binary(min_size=1, max_size=8), st.floats(0, 1)).map(splice),
+    )
+
+
+@st.composite
+def series_csvs(draw):
+    """A series CSV as write_series_csv renders it, of 0 to 14 rows."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    rows = draw(st.lists(st.lists(finite, min_size=4, max_size=4), max_size=14))
+    lines = [CSV_HEADER] + [
+        ",".join([str(number)] + [format(value, ".6g") for value in row])
+        for number, row in enumerate(rows, start=1)
+    ]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def strict_json(text):
+    """Parse JSON, refusing NaN and Infinity, which are not JSON."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@settings(max_examples=200, deadline=None)
+@given(config=raw(documents().map(str.encode)), report=st.booleans())
+def test_simulate_on_arbitrary_config_bytes_exits_cleanly(config, report):
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "config.json")
+        with open(path, "wb") as handle:
+            handle.write(config)
+        # a run, if the bytes happen to be a valid config, stays tiny
+        argv = ["simulate", "--config", path, "--out", os.path.join(root, "run.csv"),
+                "--iterations", "12", "--repeats", "2"]
+        if report:
+            argv += ["--report", os.path.join(root, "report.json")]
+        code, _, err = call(argv)
+        left = sorted(os.listdir(root))
+    outputs = ["run.csv"] + (["report.json"] if report else [])
+    assert_exits_cleanly(code, err, left, ["config.json"], outputs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(series=raw(series_csvs()))
+def test_report_on_arbitrary_csv_bytes_exits_cleanly(series):
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "run.csv")
+        with open(path, "wb") as handle:
+            handle.write(series)
+        code, out, err = call(["report", "--in", path])
+        left = sorted(os.listdir(root))
+    assert_exits_cleanly(code, err, left, ["run.csv"], [])
+    if code == 0:
+        assert set(strict_json(out)) == {
+            "late_slope", "peak_iteration", "final_to_peak_ratio", "early_peak"
+        }
+    else:
+        assert out == ""

@@ -246,27 +246,7 @@ class TestServerFiStep:
         params = ServerFiParams(
             lam=1.5, k=3, n0=12, alpha=1.1, staking_share=0.1, payoff_horizon=50
         )
-        econ = EconParams()
-        seed = 123
-
-        state = serverfi.new_state(params, econ)
-        rng = derive_stream(seed, 0)
-        records = [serverfi.step(state, rng)[1] for _ in range(60)]
-
-        ref_records, ref_players = reference_serverfi_run(params, econ, seed, 60)
-
-        for record, (i, total, joins, departures, minted) in zip(records, ref_records):
-            assert record.iteration == i
-            assert record.total_value == total
-            assert record.joins == joins
-            assert record.departures == departures
-            assert record.extra["nfts_minted"] == minted
-
-        assert state.ids.tolist() == [p.id for p in ref_players]
-        assert state.productivity.tolist() == [p.productivity for p in ref_players]
-        assert state.draw_credit.tolist() == [p.draw_credit for p in ref_players]
-        assert state.counts.tolist() == [p.counts for p in ref_players]
-        assert state.staked.tolist() == [p.staked_nfts for p in ref_players]
+        run_serverfi_against_reference(params, EconParams(), 123, 60)
 
     def test_matches_scalar_reference_with_churn_pressure(self):
         # tiny staking share forces the gate shut and non-holders out once
