@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import os
 import sys
@@ -26,7 +27,7 @@ from .analysis import (
 )
 from .config import ConfigError, parse_config
 from .core import derive_stream
-from .harness import run_experiment, validate_spec
+from .harness import run_experiment
 from .serverfi import expected_collection_cost
 
 EXIT_OK = 0
@@ -132,9 +133,7 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
         overrides["iterations"] = args.iterations
     if args.repeats is not None:
         overrides["repeats"] = args.repeats
-    if overrides:
-        spec = spec.with_overrides(**overrides)
-    validate_spec(spec)
+    spec = dataclasses.replace(spec, **overrides)
     if args.report is not None and spec.iterations < MIN_TREND_LENGTH:
         raise ConfigError(
             f"--report requires at least {MIN_TREND_LENGTH} iterations, got {spec.iterations}"

@@ -37,24 +37,27 @@ class EconParams:
     mutation_sigma: float = 0.1
     productivity_floor: float = 0.01
 
-    def validate(self, prefix: str = "econ") -> None:
+    def validate(self) -> None:
         if not self.productivity_init_mean > 0:
-            raise ValueError(f"{prefix}.productivity_init_mean must be positive")
+            raise ValueError("econ.productivity_init_mean must be positive")
         if not self.productivity_init_sigma >= 0:
-            raise ValueError(f"{prefix}.productivity_init_sigma must be non-negative")
+            raise ValueError("econ.productivity_init_sigma must be non-negative")
         if not self.mutation_sigma >= 0:
-            raise ValueError(f"{prefix}.mutation_sigma must be non-negative")
+            raise ValueError("econ.mutation_sigma must be non-negative")
         if not self.productivity_floor > 0:
-            raise ValueError(f"{prefix}.productivity_floor must be positive")
+            raise ValueError("econ.productivity_floor must be positive")
 
 
 @dataclass(frozen=True)
 class IterationRecord:
     """Observables for one simulated iteration (day) of one repeat.
 
-    ``extra`` carries model-specific counters, e.g. ``nfts_minted`` /
-    ``staked_total`` / ``per_nft_reward`` for the synthesis economy and
-    ``payout_total`` / ``winner_count`` for the retention economy.
+    ``extra`` holds model-specific float counters, read by ``perfbench/checks.py``.
+    serverfi: this iteration's ``nfts_minted``, ``draws``, ``per_nft_reward``
+    (0.0 with no mint), ``fragments_departed`` and ``credit_departed``, and
+    the ``staked_total``, ``inventory_total`` and ``draw_credit_total`` the
+    remaining players hold. retention: ``payout_total``, ``winner_count``
+    and ``window_total_sum`` (the total the reward pool is a share of).
     """
 
     iteration: int

@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -33,11 +34,11 @@ MAX_RECORDS = 2**20
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Complete, validated description of one experiment.
+    """Complete description of one experiment, validated when it is built.
 
     Both parameter blocks are always present; ``model`` selects which one
     drives the simulation. The headline protocol is 500 iterations repeated
-    100 times.
+    100 times. A ``dataclasses.replace`` copy is validated too.
     """
 
     model: str = "serverfi"
@@ -48,19 +49,19 @@ class ExperimentSpec:
     repeats: int = 100
     master_seed: int = 0
 
-    def with_overrides(self, **kwargs) -> "ExperimentSpec":
-        """Copy with top-level fields replaced (used for CLI flag overrides)."""
-        return replace(self, **kwargs)
+    def __post_init__(self) -> None:
+        validate_spec(self)
 
 
 @dataclass(frozen=True)
 class AggregateSeries:
     """Per-iteration statistics across repeats: the band and the mean line.
 
-    ``min``/``max`` bound the range across repeats and ``mean`` is the
-    cross-repeat average, each indexed by iteration (position 0 holds
-    iteration 1). The fields, in order, are the series CSV's columns after
-    ``iteration`` (see ``analysis.CSV_HEADER``).
+    Field ``<statistic>_<attribute>`` holds, per iteration (position 0 holds
+    iteration 1), that statistic across repeats of the IterationRecord
+    attribute: ``min``/``max`` bound the band and ``mean`` is the line.
+    The fields, in order, are the series CSV's columns after ``iteration``
+    (see ``analysis.CSV_HEADER``).
     """
 
     mean_total_value: List[float]
@@ -76,9 +77,9 @@ def validate_spec(spec: ExperimentSpec) -> None:
     """Reject an invalid spec with a field-path error message."""
     if not isinstance(spec.model, str) or spec.model not in MODELS:
         raise ValueError("model must be 'serverfi' or 'retention'")
-    spec.econ.validate("econ")
-    spec.serverfi.validate("serverfi")
-    spec.retention.validate("retention")
+    spec.econ.validate()
+    spec.serverfi.validate()
+    spec.retention.validate()
     if spec.iterations < 1:
         raise ValueError("iterations must be at least 1")
     if spec.repeats < 1:
@@ -118,9 +119,9 @@ def _check_budget(spec: ExperimentSpec) -> None:
 def run_once(spec: ExperimentSpec, repeat_index: int) -> List[IterationRecord]:
     """Run one repeat; output is a pure function of (spec, repeat_index).
 
-    A float overflow in a step is a ValueError naming repeat and iteration.
+    ``spec`` was checked when it was built. A float overflow in a step is a
+    ValueError naming repeat and iteration.
     """
-    validate_spec(spec)
     if not 0 <= repeat_index < spec.repeats:
         raise ValueError("repeat_index must be in [0, repeats)")
     rng = derive_stream(spec.master_seed, repeat_index)
@@ -155,24 +156,23 @@ def aggregate(results: Sequence[Sequence[IterationRecord]]) -> AggregateSeries:
             raise ValueError(
                 f"repeat {r} has {len(records)} records, expected {length}"
             )
-    n = len(results)
-    mean_tv: List[float] = []
-    min_tv: List[float] = []
-    max_tv: List[float] = []
-    mean_ap: List[float] = []
-    for idx in range(length):
-        totals = [records[idx].total_value for records in results]
-        actives = [records[idx].active_players for records in results]
-        try:
-            mean_tv.append(math.fsum(totals) / n)
-        except OverflowError:
-            raise ValueError(
-                f"the mean total value of iteration {idx + 1} overflows a float"
-            ) from None
-        min_tv.append(min(totals))
-        max_tv.append(max(totals))
-        mean_ap.append(math.fsum(actives) / n)
-    return AggregateSeries(mean_tv, min_tv, max_tv, mean_ap)
+    statistics = {"mean": lambda values: math.fsum(values) / len(values), "min": min, "max": max}
+    columns: Dict[str, List[float]] = {}
+    for series_field in fields(AggregateSeries):
+        statistic, attribute = series_field.name.split("_", 1)
+        # whole lists per repeat (faster than lazy maps), zipped to per-iteration tuples
+        per_iteration = zip(*[list(map(attrgetter(attribute), records)) for records in results])
+        column: List[float] = []
+        for idx, values in enumerate(per_iteration):
+            try:
+                column.append(statistics[statistic](values))
+            except OverflowError:
+                raise ValueError(
+                    f"the {statistic} {attribute.replace('_', ' ')} of iteration {idx + 1} "
+                    "overflows a float"
+                ) from None
+        columns[series_field.name] = column
+    return AggregateSeries(**columns)
 
 
 def _run_repeat(args: Tuple[ExperimentSpec, int]) -> List[IterationRecord]:
@@ -183,14 +183,13 @@ def _run_repeat(args: Tuple[ExperimentSpec, int]) -> List[IterationRecord]:
 def run_experiment(
     spec: ExperimentSpec, workers: int = 1
 ) -> Tuple[AggregateSeries, List[List[IterationRecord]]]:
-    """Run all repeats and aggregate them.
+    """Run all repeats of a spec, which was checked when built, and aggregate them.
 
     ``workers`` > 1 fans repeats out to a process pool; scheduling cannot
     change the result because each repeat owns an independent stream and
     aggregation is keyed by repeat index. The pool has at most one process
     per repeat and per CPU: more would only wait.
     """
-    validate_spec(spec)
     if workers < 1:
         raise ValueError("workers must be at least 1")
     workers = min(workers, spec.repeats, os.cpu_count() or 1)

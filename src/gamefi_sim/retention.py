@@ -49,25 +49,25 @@ class RetentionParams:
     alpha: float = 1.02
     equal_split: bool = False
 
-    def validate(self, prefix: str = "retention") -> None:
+    def validate(self) -> None:
         if not 0 < self.top_fraction <= 1:
-            raise ValueError(f"{prefix}.top_fraction must be in (0, 1]")
+            raise ValueError("retention.top_fraction must be in (0, 1]")
         if not 0 <= self.pool_share <= 1:
-            raise ValueError(f"{prefix}.pool_share must be between 0 and 1")
+            raise ValueError("retention.pool_share must be between 0 and 1")
         if self.window < 1:
-            raise ValueError(f"{prefix}.window must be at least 1")
+            raise ValueError("retention.window must be at least 1")
         if self.tolerance_min < 1:
-            raise ValueError(f"{prefix}.tolerance_min must be at least 1")
+            raise ValueError("retention.tolerance_min must be at least 1")
         if self.tolerance_max < self.tolerance_min:
             raise ValueError(
-                f"{prefix}.tolerance_min must not exceed {prefix}.tolerance_max"
+                "retention.tolerance_min must not exceed retention.tolerance_max"
             )
         if self.tolerance_max > MAX_TOLERANCE:
-            raise ValueError(f"{prefix}.tolerance_max must be at most 2**53")
+            raise ValueError("retention.tolerance_max must be at most 2**53")
         if self.n0 < 0:
-            raise ValueError(f"{prefix}.n0 must be non-negative")
+            raise ValueError("retention.n0 must be non-negative")
         if not self.alpha > 1:
-            raise ValueError(f"{prefix}.alpha must exceed 1")
+            raise ValueError("retention.alpha must exceed 1")
 
 
 @dataclass

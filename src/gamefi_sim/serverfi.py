@@ -60,19 +60,22 @@ class ServerFiParams:
     staking_share: float = 0.1
     payoff_horizon: int = 50
 
-    def validate(self, prefix: str = "serverfi") -> None:
+    def validate(self) -> None:
         if not self.lam > 1:
-            raise ValueError(f"{prefix}.lambda must exceed 1")
+            raise ValueError("serverfi.lambda must exceed 1")
         if not 1 <= self.k <= 64:
-            raise ValueError(f"{prefix}.k must be between 1 and 64")
+            raise ValueError("serverfi.k must be between 1 and 64")
         if self.n0 < 0:
-            raise ValueError(f"{prefix}.n0 must be non-negative")
+            raise ValueError("serverfi.n0 must be non-negative")
         if not self.alpha > 1:
-            raise ValueError(f"{prefix}.alpha must exceed 1")
+            raise ValueError("serverfi.alpha must exceed 1")
         if not 0 <= self.staking_share <= 1:
-            raise ValueError(f"{prefix}.staking_share must be between 0 and 1")
+            raise ValueError("serverfi.staking_share must be between 0 and 1")
         if self.payoff_horizon < 1:
-            raise ValueError(f"{prefix}.payoff_horizon must be at least 1")
+            raise ValueError("serverfi.payoff_horizon must be at least 1")
+        # gate and churn multiply a float by it: exact to 2**53, OverflowError past 1e308
+        if self.payoff_horizon > 2**53:
+            raise ValueError("serverfi.payoff_horizon must be at most 2**53")
 
 
 @dataclass

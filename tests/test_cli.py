@@ -1,5 +1,6 @@
 """Command-line interface tests: subcommands, exit codes, overrides."""
 
+import dataclasses
 import json
 
 import pytest
@@ -59,8 +60,9 @@ class TestSimulate:
         )
         assert code == 0
         assert len(read_series_csv(out)) == 12
-        spec = parse_config(config_path.read_text(encoding="utf-8")).with_overrides(
-            master_seed=7, iterations=12, repeats=2
+        spec = dataclasses.replace(
+            parse_config(config_path.read_text(encoding="utf-8")),
+            master_seed=7, iterations=12, repeats=2,
         )
         series, _ = run_experiment(spec)
         loaded = read_series_csv(out)

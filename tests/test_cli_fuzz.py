@@ -44,7 +44,7 @@ BAD_SCALARS = st.one_of(
     st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=1),
     st.sampled_from([math.nan, math.inf, -math.inf]),
 )
-HUGE_INTS = st.sampled_from([2**53, 2**63 - 1, 2**63, 2**64, 10**30])
+HUGE_INTS = st.sampled_from([2**53, 2**63 - 1, 2**63, 2**64, 10**30, 10**400])
 HUGE_FLOATS = st.sampled_from([1e300, 1.7976931348623157e308])
 HUGE_PRODUCTIVITY = st.sampled_from([1e150, 1e200, 1e300, 1.7976931348623157e308])
 

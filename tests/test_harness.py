@@ -1,5 +1,7 @@
 """Experiment harness tests: repeats, aggregation, scheduling independence."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,17 @@ SMALL_RETENTION = ExperimentSpec(
 )
 
 
+INVALID_SPECS = [
+    (dict(model="bogus"), "model"),
+    (dict(iterations=0), "iterations must be at least 1"),
+    (dict(repeats=0), "repeats must be at least 1"),
+    (dict(master_seed=-1), "master_seed"),
+    (dict(master_seed=2**64), "master_seed"),
+    (dict(serverfi=ServerFiParams(lam=0.5)), r"serverfi\.lambda must exceed 1"),
+    (dict(retention=RetentionParams(window=0)), r"retention\.window"),
+]
+
+
 def _record(iteration, total, active=0):
     return IterationRecord(iteration, total, active, 0, 0)
 
@@ -40,21 +53,19 @@ class TestValidateSpec:
     def test_defaults_valid(self):
         validate_spec(ExperimentSpec())
 
-    @pytest.mark.parametrize(
-        "kwargs,fragment",
-        [
-            (dict(model="bogus"), "model"),
-            (dict(iterations=0), "iterations must be at least 1"),
-            (dict(repeats=0), "repeats must be at least 1"),
-            (dict(master_seed=-1), "master_seed"),
-            (dict(master_seed=2**64), "master_seed"),
-            (dict(serverfi=ServerFiParams(lam=0.5)), r"serverfi\.lambda must exceed 1"),
-            (dict(retention=RetentionParams(window=0)), r"retention\.window"),
-        ],
-    )
+    @pytest.mark.parametrize("kwargs,fragment", INVALID_SPECS)
     def test_rejects_invalid(self, kwargs, fragment):
         with pytest.raises(ValueError, match=fragment):
             validate_spec(ExperimentSpec(**kwargs))
+
+    @pytest.mark.parametrize("kwargs,fragment", INVALID_SPECS)
+    def test_construction_rejects_invalid(self, kwargs, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            ExperimentSpec(**kwargs)
+
+    def test_replace_rejects_invalid(self):
+        with pytest.raises(ValueError, match="repeats must be at least 1"):
+            dataclasses.replace(ExperimentSpec(), repeats=0)
 
     @pytest.mark.parametrize(
         "spec",
@@ -90,9 +101,9 @@ class TestValidateSpec:
         # at most n0 * ceil(1.5 / 0.5) = 3 * n0 players join, however many
         # iterations run: 3e6 players x 4 x 40 bytes fits, 3e7 does not
         spec = ExperimentSpec(iterations=10**6, repeats=1)
-        validate_spec(spec.with_overrides(serverfi=ServerFiParams(n0=10**6, alpha=1.5, k=1)))
+        validate_spec(dataclasses.replace(spec, serverfi=ServerFiParams(n0=10**6, alpha=1.5, k=1)))
         with pytest.raises(ValueError, match="run budget exceeded"):
-            validate_spec(spec.with_overrides(serverfi=ServerFiParams(n0=10**7, alpha=1.5, k=1)))
+            validate_spec(dataclasses.replace(spec, serverfi=ServerFiParams(n0=10**7, alpha=1.5, k=1)))
 
     def test_budget_counts_what_the_store_allocates(self):
         # k=1: 40 bytes of columns per player, up to 4 x 40 allocated, so
@@ -101,9 +112,9 @@ class TestValidateSpec:
         spec = ExperimentSpec(iterations=10**6, repeats=1)
         fits = ServerFiParams(n0=2 * 10**6, alpha=1.5, k=1)
         refused = ServerFiParams(n0=3 * 10**6, alpha=1.5, k=1)
-        validate_spec(spec.with_overrides(serverfi=fits))
+        validate_spec(dataclasses.replace(spec, serverfi=fits))
         with pytest.raises(ValueError, match="run budget exceeded"):
-            validate_spec(spec.with_overrides(serverfi=refused))
+            validate_spec(dataclasses.replace(spec, serverfi=refused))
 
     @pytest.mark.parametrize(
         "model, params",
@@ -155,13 +166,13 @@ class TestModelRegistry:
             return original(state, rng)
 
         monkeypatch.setattr(serverfi, "step", counted)
-        run_once(SMALL_SERVERFI.with_overrides(iterations=3), 0)
+        run_once(dataclasses.replace(SMALL_SERVERFI, iterations=3), 0)
         assert calls == [0, 1, 2]
 
 
 class TestRunOnce:
     def test_record_count_and_numbering(self):
-        records = run_once(SMALL_SERVERFI.with_overrides(iterations=3), 0)
+        records = run_once(dataclasses.replace(SMALL_SERVERFI, iterations=3), 0)
         assert [r.iteration for r in records] == [1, 2, 3]
 
     def test_pure_function_of_inputs(self):
@@ -169,7 +180,7 @@ class TestRunOnce:
 
     def test_invalid_spec_rejected_before_stepping(self):
         with pytest.raises(ValueError, match="iterations"):
-            run_once(SMALL_SERVERFI.with_overrides(iterations=0), 0)
+            run_once(dataclasses.replace(SMALL_SERVERFI, iterations=0), 0)
 
     def test_repeat_index_bounds(self):
         with pytest.raises(ValueError, match="repeat_index"):
@@ -236,7 +247,7 @@ class TestRunExperiment:
 
     def test_seed_changes_series(self):
         a, _ = run_experiment(SMALL_SERVERFI)
-        b, _ = run_experiment(SMALL_SERVERFI.with_overrides(master_seed=43))
+        b, _ = run_experiment(dataclasses.replace(SMALL_SERVERFI, master_seed=43))
         assert len(a) == len(b)
         assert a != b
 
@@ -268,7 +279,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
-        spec = SMALL_RETENTION.with_overrides(repeats=repeats)
+        spec = dataclasses.replace(SMALL_RETENTION, repeats=repeats)
         assert run_experiment(spec, workers=2**64) == run_experiment(spec)
         assert sizes == [expected]
 

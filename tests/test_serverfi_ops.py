@@ -227,6 +227,7 @@ class TestServerFiParamsValidation:
             (dict(n0=-1), "n0 must be non-negative"),
             (dict(staking_share=1.5), "staking_share"),
             (dict(payoff_horizon=0), "payoff_horizon"),
+            (dict(payoff_horizon=10**400), r"serverfi\.payoff_horizon must be at most 2\*\*53"),
         ],
     )
     def test_rejects_out_of_range(self, kwargs, fragment):
