@@ -138,6 +138,9 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
         raise ConfigError(
             f"--report requires at least {MIN_TREND_LENGTH} iterations, got {spec.iterations}"
         )
+    if args.report is not None and os.path.realpath(args.report) == os.path.realpath(args.out):
+        # the second rename would replace the first output
+        raise ConfigError("--report must name a different file than --out")
     # run_experiment refuses --workers < 1 before it simulates; a run can
     # still fail validation midway, e.g. on too many lottery draws or a float
     # overflow, and so can its mean or trend

@@ -161,22 +161,21 @@ def _ring_totals(ring: np.ndarray) -> np.ndarray:
     summation adds a contiguous row sequentially below 8 entries, with 8
     interleaved accumulators up to 128, and splits longer rows in two
     (at a multiple of 8). The same adds are made here on whole rows.
+    Below 8 rows numpy's own axis-0 reduce makes them: it adds the rows
+    into the first one in order, in one call.
     """
     count = len(ring)
+    if count < 8:
+        return np.add.reduce(ring, axis=0)
     if count > 128:
         half = count // 2 - (count // 2) % 8
         return _ring_totals(ring[:half]) + _ring_totals(ring[half:])
-    if count < 8:
-        out = ring[0].copy()
-        rest = ring[1:]
-    else:
-        top = count - count % 8
-        acc = ring[:8].copy()
-        for row in range(8, top, 8):
-            acc += ring[row:row + 8]
-        out = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-        rest = ring[top:]
-    for row in rest:
+    top = count - count % 8
+    acc = ring[:8].copy()
+    for row in range(8, top, 8):
+        acc += ring[row:row + 8]
+    out = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for row in ring[top:]:
         out += row
     return out
 
@@ -291,10 +290,10 @@ def step(
         # (4) misses and churn
         state.misses += 1
         state.misses[winners] = 0
-        leave = state.misses > state.tolerance
-        departures = int(np.count_nonzero(leave))
+        stay = state.misses <= state.tolerance
+        departures = n - int(np.count_nonzero(stay))
         if departures:
-            state.keep(~leave)
+            state.keep(stay)
 
     # (5) mutation of survivors
     if state.active_players:

@@ -291,6 +291,22 @@ class TestAtomicOutputs:
         assert len(error_lines(capsys.readouterr().err)) == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+    @pytest.mark.parametrize("out", ["x.out", "./x.out", "{work}/x.out"])
+    def test_report_naming_the_csv_exits_one_before_simulating(
+        self, config_path, tmp_path, capsys, monkeypatch, out
+    ):
+        # else the report's rename would replace the CSV
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert simulate_with_report(config_path, out.format(work=work), "x.out") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert error_lines(captured.err) == [
+            "error: --report must name a different file than --out"
+        ]
+        assert list(work.iterdir()) == []
+
     def test_failed_rename_removes_the_outputs_already_placed(
         self, config_path, tmp_path, capsys
     ):

@@ -13,6 +13,12 @@ exit 1 on the draws limit or a float overflow. Only ``mutation_sigma`` and
 ``--workers`` stay small-only. Every other field also gets huge and
 non-finite values.
 
+A serverfi run at default ``k`` and ``lambda`` first mints at about
+iteration 12, and only after a mint do the entry gate and the churn test
+multiply by ``payoff_horizon``. So ``k`` is often 1 and ``lambda`` often
+below 2, which mint within the 12 iterations, and an explicit example runs
+a minting config with a ``payoff_horizon`` of ``10**400``.
+
 Two more properties write raw bytes, arbitrary or a valid config or series
 CSV with arbitrary bytes spliced in, as ``simulate``'s config and as
 ``report``'s CSV. The same rule holds, and a report that exits 0 prints
@@ -30,7 +36,7 @@ import warnings
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from gamefi_sim.analysis import CSV_HEADER  # noqa: E402
@@ -59,8 +65,10 @@ FIELDS = {
         "productivity_floor": st.one_of(st.floats(1e-300, 3), HUGE_PRODUCTIVITY),
     },
     "serverfi": {
-        "lambda": st.one_of(st.floats(1.001, 20), HUGE_FLOATS),
-        "k": st.integers(1, 64),
+        # k 1 or a lambda near 1 mints within the 12-iteration cap, so the
+        # entry gate and the churn test multiply by payoff_horizon
+        "lambda": st.one_of(st.floats(1.001, 20), st.floats(1.001, 2), HUGE_FLOATS),
+        "k": st.one_of(st.just(1), st.integers(1, 64)),
         "n0": st.one_of(st.integers(0, 60), HUGE_INTS),
         "alpha": st.one_of(st.floats(1.001, 3), HUGE_FLOATS),
         "staking_share": st.floats(0, 1),
@@ -144,6 +152,15 @@ def flags(draw):
 
 
 @settings(max_examples=200, deadline=None)
+@example(
+    document=json.dumps({
+        "model": "serverfi", "iterations": 12, "repeats": 1,
+        "serverfi": {"k": 1, "lambda": 1.001, "payoff_horizon": 10**400},
+    }),
+    extra=[],
+    report=False,
+    out_dir="",
+)
 @given(
     document=documents(),
     extra=flags(),

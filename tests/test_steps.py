@@ -587,6 +587,17 @@ class TestRetentionBitIdentity:
             got = retention._ring_totals(np.ascontiguousarray(row_major.T))
             assert got.tobytes() == expected.tobytes(), window
 
+    @pytest.mark.parametrize("n", [1, 13, 1000])
+    def test_ring_totals_of_a_buffer_view_equal_row_major_sum(self, n):
+        # the step's layout: the first n columns of a (window, capacity) buffer
+        rng = np.random.default_rng(n)
+        for window in range(1, 301):
+            buffer = rng.lognormal(sigma=2.0, size=(window, 2 * n + 3))
+            ring = buffer[:, :n]
+            expected = np.ascontiguousarray(ring.T).sum(axis=1)
+            got = retention._ring_totals(ring)
+            assert got.tobytes() == expected.tobytes(), window
+
     def test_ids_stay_strictly_increasing_through_churn(self):
         params = RetentionParams(n0=40, alpha=1.03, tolerance_min=1, tolerance_max=3)
         state = retention.new_state(params, EconParams())
