@@ -17,6 +17,7 @@ from .config import ConfigError, parse_config
 from .core import (
     EconParams,
     IterationRecord,
+    RepeatRecords,
     derive_stream,
     init_productivity,
     mutate_productivity,
@@ -40,6 +41,7 @@ __all__ = [
     "EconParams",
     "ExperimentSpec",
     "IterationRecord",
+    "RepeatRecords",
     "RetentionParams",
     "ServerFiParams",
     "TrendReport",

@@ -10,8 +10,9 @@ multiplicative mutation step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, ClassVar, Dict, Tuple
+import operator
+from dataclasses import dataclass, field, fields
+from typing import Any, ClassVar, Dict, Iterator, List, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
@@ -66,6 +67,79 @@ class IterationRecord:
     joins: int
     departures: int
     extra: Dict[str, float] = field(default_factory=dict)
+
+
+# the IterationRecord fields a RepeatRecords table holds before the extra
+# keys, in declaration order, and the type each item restores
+RECORD_FIELDS = tuple(f.name for f in fields(IterationRecord) if f.name != "extra")
+_FIELD_TYPES = tuple(map(get_type_hints(IterationRecord).get, RECORD_FIELDS))
+_get_fields = operator.attrgetter(*RECORD_FIELDS)
+
+
+class RepeatRecords(Sequence[IterationRecord]):
+    """One finished repeat's IterationRecords, held as one read-only float64 table.
+
+    Row ``t`` is iteration ``t + 1``. The :attr:`columns` are
+    :data:`RECORD_FIELDS`, then the ``extra`` keys in the order the step
+    wrote them. Every value is a float or an int below 2**53, so float64
+    holds it exactly: an item equals the record it was packed from, has the
+    same ``repr`` (the int fields are restored with ``int()``), and is built
+    on access, never cached. A slice is a list, and the view compares equal
+    to a list of the same records. The table costs 8 bytes per column per
+    record, against about half a KiB for an IterationRecord.
+    """
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, table: np.ndarray, extra_keys: Tuple[str, ...]) -> None:
+        """Take over ``table``, whose columns are RECORD_FIELDS + ``extra_keys``, read-only."""
+        table.flags.writeable = False
+        self._table = table
+        self._extra_keys = extra_keys
+        self.columns = RECORD_FIELDS + extra_keys
+
+    @classmethod
+    def pack(cls, records: Sequence[IterationRecord]) -> RepeatRecords:
+        """Pack records that all carry the first record's ``extra`` keys, in its order."""
+        keys = tuple(records[0].extra) if records else ()
+        rows = []
+        for t, record in enumerate(records):
+            if tuple(record.extra) != keys:
+                raise ValueError(f"record {t} has extra keys {tuple(record.extra)}, expected {keys}")
+            rows.append((*_get_fields(record), *record.extra.values()))
+        width = len(RECORD_FIELDS) + len(keys)
+        return cls(np.array(rows, dtype=np.float64).reshape(len(rows), width), keys)
+
+    def column(self, name: str) -> np.ndarray:
+        """The read-only values of column ``name``, one per iteration."""
+        return self._table[:, self.columns.index(name)]
+
+    def _record(self, row: List[float]) -> IterationRecord:
+        values = [kind(value) for kind, value in zip(_FIELD_TYPES, row)]
+        extra = dict(zip(self._extra_keys, row[len(RECORD_FIELDS):]))
+        return IterationRecord(*values, extra)
+
+    def __len__(self) -> int:
+        return len(self._table)
+
+    def __getitem__(self, index):  # type: ignore[override]
+        if isinstance(index, slice):
+            return [self._record(row) for row in self._table[index].tolist()]
+        return self._record(self._table[operator.index(index)].tolist())
+
+    def __iter__(self) -> Iterator[IterationRecord]:
+        for row in self._table:
+            yield self._record(row.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, RepeatRecords) and other._extra_keys == self._extra_keys:
+            return bool(np.array_equal(self._table, other._table))
+        if isinstance(other, (RepeatRecords, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __reduce__(self):
+        return (RepeatRecords, (self._table, self._extra_keys))
 
 
 @dataclass

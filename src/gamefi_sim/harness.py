@@ -12,13 +12,19 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
-from operator import attrgetter
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from . import retention, serverfi
-from .core import MAX_SEED, STORE_FACTOR, EconParams, IterationRecord, derive_stream
+from .core import (
+    MAX_SEED,
+    STORE_FACTOR,
+    EconParams,
+    IterationRecord,
+    RepeatRecords,
+    derive_stream,
+)
 
 # model modules: new_state(params, econ), step(state, rng) and
 # state_columns(params), with params the ExperimentSpec field of that name
@@ -27,7 +33,9 @@ MODELS = {"serverfi": serverfi, "retention": retention}
 # Run budget, checked before simulating. MAX_STATE_BYTES bounds what the
 # population's column store may allocate (the step's temporaries take a few
 # times its live columns); MAX_RECORDS bounds the iteration x repeat records
-# an experiment holds, one to two KiB each.
+# an experiment holds, 8 bytes per RepeatRecords column each (13 columns for
+# serverfi, 8 for retention: at most 104 MiB), plus the list of the one
+# repeat that is running.
 MAX_STATE_BYTES = 2**30
 MAX_RECORDS = 2**20
 
@@ -144,24 +152,26 @@ def run_once(spec: ExperimentSpec, repeat_index: int) -> List[IterationRecord]:
 def aggregate(results: Sequence[Sequence[IterationRecord]]) -> AggregateSeries:
     """Pointwise mean/min/max across repeats.
 
-    Means use exact compensated summation, so the outcome does not depend
-    on the order repeats are supplied in. A sum too large for a float
-    raises ValueError.
+    Each repeat is a RepeatRecords table; a plain list of records is packed
+    into one first. Means use exact compensated summation, so the outcome
+    does not depend on the order repeats are supplied in. A sum too large
+    for a float raises ValueError.
     """
     if not results:
         raise ValueError("aggregate requires at least one repeat")
-    length = len(results[0])
-    for r, records in enumerate(results):
-        if len(records) != length:
+    tables = [r if isinstance(r, RepeatRecords) else RepeatRecords.pack(r) for r in results]
+    length = len(tables[0])
+    for r, table in enumerate(tables):
+        if len(table) != length:
             raise ValueError(
-                f"repeat {r} has {len(records)} records, expected {length}"
+                f"repeat {r} has {len(table)} records, expected {length}"
             )
     statistics = {"mean": lambda values: math.fsum(values) / len(values), "min": min, "max": max}
     columns: Dict[str, List[float]] = {}
     for series_field in fields(AggregateSeries):
         statistic, attribute = series_field.name.split("_", 1)
-        # whole lists per repeat (faster than lazy maps), zipped to per-iteration tuples
-        per_iteration = zip(*[list(map(attrgetter(attribute), records)) for records in results])
+        # one list of plain floats per iteration, one value per repeat
+        per_iteration = np.column_stack([t.column(attribute) for t in tables]).tolist()
         column: List[float] = []
         for idx, values in enumerate(per_iteration):
             try:
@@ -175,27 +185,31 @@ def aggregate(results: Sequence[Sequence[IterationRecord]]) -> AggregateSeries:
     return AggregateSeries(**columns)
 
 
-def _run_repeat(args: Tuple[ExperimentSpec, int]) -> List[IterationRecord]:
+def _run_repeat(args: Tuple[ExperimentSpec, int]) -> RepeatRecords:
+    """Run one repeat and pack its records as soon as it finishes."""
     spec, repeat_index = args
-    return run_once(spec, repeat_index)
+    return RepeatRecords.pack(run_once(spec, repeat_index))
 
 
 def run_experiment(
     spec: ExperimentSpec, workers: int = 1
-) -> Tuple[AggregateSeries, List[List[IterationRecord]]]:
+) -> Tuple[AggregateSeries, List[RepeatRecords]]:
     """Run all repeats of a spec, which was checked when built, and aggregate them.
 
-    ``workers`` > 1 fans repeats out to a process pool; scheduling cannot
-    change the result because each repeat owns an independent stream and
-    aggregation is keyed by repeat index. The pool has at most one process
-    per repeat and per CPU: more would only wait.
+    Returns the series and one RepeatRecords table per repeat, in repeat
+    order. ``workers`` > 1 fans repeats out to a process pool, which ships
+    each repeat back as its table; scheduling cannot change the result
+    because each repeat owns an independent stream and aggregation is keyed
+    by repeat index. The pool has at most one process per repeat and per
+    CPU: more would only wait.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
     workers = min(workers, spec.repeats, os.cpu_count() or 1)
+    jobs = [(spec, r) for r in range(spec.repeats)]
     if workers == 1:
-        results = [run_once(spec, r) for r in range(spec.repeats)]
+        results = list(map(_run_repeat, jobs))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_repeat, [(spec, r) for r in range(spec.repeats)]))
+            results = list(pool.map(_run_repeat, jobs))
     return aggregate(results), results
