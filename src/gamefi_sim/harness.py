@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Sequence, Tuple
 
@@ -210,6 +209,12 @@ def run_experiment(
     if workers == 1:
         results = list(map(_run_repeat, jobs))
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        # workers fork from here: importing the stream module first means no
+        # worker imports it in its first repeat
+        import numpy.random  # noqa: F401
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_repeat, jobs))
     return aggregate(results), results

@@ -1,5 +1,6 @@
 """Experiment harness tests: repeats, aggregation, scheduling independence."""
 
+import concurrent.futures
 import dataclasses
 
 import numpy as np
@@ -277,7 +278,7 @@ class TestRunExperiment:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
         spec = dataclasses.replace(SMALL_RETENTION, repeats=repeats)
         assert run_experiment(spec, workers=2**64) == run_experiment(spec)
