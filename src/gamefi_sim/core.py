@@ -56,8 +56,8 @@ class IterationRecord:
     ``extra`` holds model-specific float counters, read by ``perfbench/checks.py``.
     serverfi: this iteration's ``nfts_minted``, ``draws``, ``per_nft_reward``
     (0.0 with no mint), ``fragments_departed`` and ``credit_departed``, and
-    the ``staked_total``, ``inventory_total`` and ``draw_credit_total`` the
-    remaining players hold. retention: ``payout_total``, ``winner_count``
+    the ``staked_total``, ``inventory_total`` (unminted fragments) and
+    ``draw_credit_total`` the remaining players hold. retention: ``payout_total``, ``winner_count``
     and ``window_total_sum`` (the total the reward pool is a share of).
     """
 

@@ -193,8 +193,14 @@ class ServerFiState(Population):
     observed reward to project from, rational agents have no basis to stay
     out (the gate is open) or to quit (churn is inactive).
 
-    ``by_type`` holds the counts column-major, ``(k, n)``, and ``counts``
-    is its ``(n, k)`` transposed view. Each per-type pass of the step (the
+    ``by_type`` counts every fragment a player has ever drawn, per type,
+    type-major ``(k, n)``, and is never decremented. Every mint takes one
+    fragment of each type and NFT holders never leave, so ``staked`` is
+    the per-player minimum of ``by_type`` over the types, and ``counts``,
+    the ``(n, k)`` inventory left to mint from, is ``(by_type - staked).T``,
+    computed on access. A player draws at most 2**24 fragments an
+    iteration over at most 2**20 iterations, so a cumulative count stays
+    below 2**44, far inside int64. Each per-type pass of the step (the
     mint minimum, the missing-type scan) reads one contiguous row. The
     lottery scatter-adds into the flat view of the ``(k, capacity)``
     backing buffer at ``type * capacity + player``: ``by_type`` itself is
@@ -211,8 +217,8 @@ class ServerFiState(Population):
 
     @property
     def counts(self) -> np.ndarray:
-        """Per-player fragment counts, ``(n, k)``: the view ``by_type.T``."""
-        return self.by_type.T
+        """Per-player fragment inventory, ``(n, k)``: ``(by_type - staked).T``."""
+        return (self.by_type - self.staked).T
 
 
 def new_state(params: ServerFiParams, econ: EconParams) -> ServerFiState:
@@ -240,12 +246,14 @@ def step(state: ServerFiState, rng: np.random.Generator) -> Tuple[ServerFiState,
     iteration whose draws exceed :data:`MAX_DRAWS_PER_ITERATION`. The
     draws are dealt to players in row order and scatter-added into
     ``by_type`` with ``np.add.at``, which counts a cell hit several times
-    once per hit. The mint count is the per-column minimum over the k
-    type rows, and ``by_type`` and ``staked`` are rewritten only on the
-    columns that mint. Phase (5) first works out, per missing-count,
-    whether finishing a set costs more than the projected NFT reward; it
-    scans ``by_type`` for missing types only when some missing-count is
-    that costly, and skips the scan (nobody can leave) otherwise.
+    once per hit. Synthesis writes the per-column minimum of the k
+    cumulative type rows into ``staked``, and the iteration's mint count
+    is the rise in ``staked``'s sum; ``by_type`` is not written. Phase (5)
+    skips the churn scan (nobody can leave) unless finishing a full set,
+    the costliest case, costs more than the projected NFT reward. Then it
+    works out, per missing-count, whether finishing costs that much, and
+    counts a player's missing types as those whose cumulative count
+    equals ``staked``.
     """
     p = state.params
     econ = state.econ
@@ -295,12 +303,11 @@ def step(state: ServerFiState, rng: np.random.Generator) -> Tuple[ServerFiState,
         frag *= state.capacity
         frag += np.repeat(drawers, num_draws[drawers].astype(np.int64))
         np.add.at(state.buffer("by_type").reshape(-1), frag, 1)
-    minted = by_type.min(axis=0)
-    minters = np.flatnonzero(minted > 0)
-    minted = minted[minters]
-    by_type[:, minters] -= minted
-    state.staked[minters] += minted
-    nfts_minted = int(minted.sum())
+    staked = state.staked
+    staked_before = int(staked.sum())
+    by_type.min(axis=0, out=staked)
+    staked_total = int(staked.sum())
+    nfts_minted = staked_total - staked_before
 
     # (4) payout to this iteration's staked cohort
     if nfts_minted > 0:
@@ -314,15 +321,15 @@ def step(state: ServerFiState, rng: np.random.Generator) -> Tuple[ServerFiState,
     fragments_departed = 0
     credit_departed = 0.0
     if state.last_per_nft_reward is not None and n:
-        # indexed by missing-count: True where finishing the set costs more
-        # than the projected reward of the NFT it would mint
-        leave_if_missing = (
-            p.lam * p.k * _harmonic_table(p.k)
-            > state.last_per_nft_reward * p.payoff_horizon
-        )
-        if leave_if_missing.any():
-            missing = (by_type == 0).sum(axis=0)
-            leave = (state.staked == 0) & leave_if_missing[missing]
+        payoff = state.last_per_nft_reward * p.payoff_horizon
+        # finishing the full set (cost, the table's last entry) costs the
+        # most: unless it costs more than the projected reward, nobody can leave
+        if cost > payoff:
+            # indexed by missing-count: True where finishing the set costs
+            # more than the projected reward of the NFT it would mint
+            leave_if_missing = p.lam * p.k * _harmonic_table(p.k) > payoff
+            missing = (by_type == staked).sum(axis=0)
+            leave = (staked == 0) & leave_if_missing[missing]
             departures = int(leave.sum())
     if departures:
         fragments_departed = int(by_type.sum(axis=0)[leave].sum())
@@ -342,10 +349,10 @@ def step(state: ServerFiState, rng: np.random.Generator) -> Tuple[ServerFiState,
         departures=departures,
         extra={
             "nfts_minted": float(nfts_minted),
-            "staked_total": float(state.staked.sum()),
+            "staked_total": float(staked_total),
             "per_nft_reward": reward,
             "draws": float(draws_total),
-            "inventory_total": float(state.by_type.sum()),
+            "inventory_total": float(int(state.by_type.sum()) - p.k * staked_total),
             "fragments_departed": float(fragments_departed),
             "draw_credit_total": float(state.draw_credit.sum()),
             "credit_departed": credit_departed,

@@ -12,7 +12,13 @@ Metamorphic: scaling ``productivity_init_mean``, ``productivity_floor``
 and ``lambda`` by ``2**j`` keeps every count of a run identical and
 multiplies every value counter by exactly ``2**j``. Every operation the
 steps make (products, quotients, sums, comparisons, floors of ratios) is
-exact under a power-of-two scale away from overflow and subnormals.
+exact under a power-of-two scale away from overflow and subnormals, so
+this property draws each reward share as 0 or from ``[2**-64, 1]``; the
+differential properties draw shares from all of ``[0, 1]``.
+
+Representation: after every serverfi step, ``staked`` is the per-player
+minimum of the cumulative ``by_type`` counts, every player's inventory
+lacks some type, and the recorded totals match the columns.
 """
 
 import dataclasses
@@ -23,7 +29,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from gamefi_sim import retention  # noqa: E402
+from gamefi_sim import retention, serverfi  # noqa: E402
 from gamefi_sim.core import RECORD_FIELDS, EconParams, derive_stream  # noqa: E402
 from gamefi_sim.harness import ExperimentSpec, run_once  # noqa: E402
 from gamefi_sim.retention import RetentionParams  # noqa: E402
@@ -55,11 +61,11 @@ WINDOWS = st.one_of(st.integers(1, 7), st.just(8), st.integers(9, 128), st.integ
 
 
 @st.composite
-def retention_params(draw, n0=st.integers(0, 30)):
+def retention_params(draw, n0=st.integers(0, 30), pool_share=st.floats(0.0, 1.0)):
     tolerance_min = draw(st.integers(1, 12))
     return RetentionParams(
         top_fraction=draw(st.one_of(st.floats(0.01, 1.0), st.just(1.0))),
-        pool_share=draw(st.floats(0.0, 1.0)),
+        pool_share=draw(pool_share),
         window=draw(WINDOWS),
         tolerance_min=tolerance_min,
         tolerance_max=draw(st.integers(tolerance_min, tolerance_min + 10)),
@@ -73,6 +79,20 @@ def retention_params(draw, n0=st.integers(0, 30)):
 @given(params=SERVERFI, econ=ECON, seed=SEEDS, iterations=st.integers(1, 40))
 def test_serverfi_step_equals_reference(params, econ, seed, iterations):
     run_serverfi_against_reference(params, econ, seed, iterations)
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=SERVERFI, econ=ECON, seed=SEEDS, iterations=st.integers(1, 40))
+def test_serverfi_staked_is_the_minimum_of_cumulative_counts(params, econ, seed, iterations):
+    state = serverfi.new_state(params, econ)
+    rng = derive_stream(seed, 0)
+    for _ in range(iterations):
+        record = serverfi.step(state, rng)[1]
+        counts = state.counts
+        assert state.staked.tolist() == state.by_type.min(axis=0).tolist()
+        assert (counts.min(axis=1) == 0).all()
+        assert record.extra["inventory_total"] == counts.sum()
+        assert record.extra["staked_total"] == state.staked.sum()
 
 
 @settings(max_examples=100, deadline=None)
@@ -97,6 +117,9 @@ def test_retention_step_equals_reference(params, econ, seed, iterations):
     assert state.tolerance.tolist() == [p.tolerance for p in ref_players]
 
 
+# shares for the scaling relation: 0 or normal, since a payout or reward
+# that is subnormal does not scale exactly by 2**j
+SCALABLE_SHARES = st.one_of(st.just(0.0), st.floats(2.0**-64, 1.0))
 # the record fields and extra counters that carry value, so scale with it;
 # every other field is a count
 VALUE_FIELDS = {
@@ -116,9 +139,9 @@ def scalable_specs(draw):
             k=draw(st.integers(1, 64)),
             n0=draw(st.integers(0, 200)),
             alpha=draw(st.floats(1.01, 1.2)),
-            staking_share=draw(st.floats(0.0, 1.0)),
+            staking_share=draw(SCALABLE_SHARES),
         ),
-        retention=draw(retention_params(n0=st.integers(0, 200))),
+        retention=draw(retention_params(n0=st.integers(0, 200), pool_share=SCALABLE_SHARES)),
         iterations=draw(st.integers(1, 80)),
         repeats=1,
         master_seed=draw(SEEDS),
