@@ -293,18 +293,32 @@ def init_productivity_batch(
     Consumes exactly ``n`` standard normals, bit-identical to ``n``
     consecutive scalar calls on the same stream. ``sigma * z`` and the
     final ``* mean`` and floor are vectorised: each is one correctly
-    rounded IEEE operation, the same in numpy as in Python. The
-    exponential goes through math.exp per element (mapped over a list of
-    Python floats): numpy's vectorized exp can differ from libm by one
-    ulp, which would break scalar/batch equivalence. An overflowing
-    exponential raises the same ValueError as the scalar form.
+    rounded IEEE operation, the same in numpy as in Python.
+
+    The exponential must be libm's ``exp``, the one ``math.exp`` calls.
+    numpy's float64 ``exp`` is its own SIMD kernel and differs from libm
+    by one ulp on about 4.6% of values, which would break scalar/batch
+    equivalence. So the cohort is exponentiated as the real part of
+    numpy's complex ``exp`` of ``sigma * z + 0j``, which calls libm's
+    ``cexp``: for a zero imaginary part glibc, musl and FreeBSD return
+    ``exp(x)`` itself, and numpy's own fallback multiplies it by
+    ``cos(0) = 1``. But glibc's ``cexp`` rescales a real part above 709
+    as ``exp(x - 709) * exp(709)``, which differs from ``exp`` by one ulp
+    on about 1 in 8 values in (709, 709.78]. So a cohort whose largest
+    ``sigma * z`` exceeds 708, one below that, goes through ``math.exp``
+    per element instead; there an overflowing exponential raises the same
+    ValueError as the scalar form. Results that underflow to a subnormal
+    or to 0.0 are the same on both paths.
     """
-    scaled = rng.standard_normal(n)
-    scaled *= params.productivity_init_sigma
-    try:
-        values = np.fromiter(map(math.exp, scaled.tolist()), dtype=np.float64, count=n)
-    except OverflowError:
-        raise _sigma_overflow(params) from None
+    values = rng.standard_normal(n)
+    values *= params.productivity_init_sigma
+    if n and values.max() > 708.0:
+        try:
+            values = np.fromiter(map(math.exp, values.tolist()), dtype=np.float64, count=n)
+        except OverflowError:
+            raise _sigma_overflow(params) from None
+    else:
+        values[...] = np.exp(values, dtype=np.complex128).real
     values *= params.productivity_init_mean
     return np.maximum(values, params.productivity_floor, out=values)
 

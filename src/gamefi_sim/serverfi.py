@@ -206,11 +206,20 @@ class ServerFiState(Population):
     backing buffer at ``type * capacity + player``: ``by_type`` itself is
     not C-contiguous while ``capacity > n``, so its ``reshape(-1)`` would
     be a copy (see :class:`~gamefi_sim.core.Population`).
+
+    ``staked_total`` and ``fragments_held`` are the sums of ``staked`` and
+    ``by_type`` over the players, kept as Python ints so that a step sums
+    neither: only players with nothing staked leave, and joiners start at
+    zero, so a step's mints are the rise in ``staked_total``, and
+    ``fragments_held`` gains the step's draws and loses what the leavers
+    had drawn.
     """
 
     COLUMNS = ("draw_credit", "by_type", "staked")
 
     last_per_nft_reward: Optional[float] = None
+    staked_total: int = 0
+    fragments_held: int = 0
     draw_credit: np.ndarray = field(default_factory=lambda: np.zeros(0))
     by_type: np.ndarray = field(default_factory=lambda: np.zeros((1, 0), dtype=np.int64))
     staked: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
@@ -303,11 +312,12 @@ def step(state: ServerFiState, rng: np.random.Generator) -> Tuple[ServerFiState,
         frag *= state.capacity
         frag += np.repeat(drawers, num_draws[drawers].astype(np.int64))
         np.add.at(state.buffer("by_type").reshape(-1), frag, 1)
+    state.fragments_held += draws_total
     staked = state.staked
-    staked_before = int(staked.sum())
     by_type.min(axis=0, out=staked)
     staked_total = int(staked.sum())
-    nfts_minted = staked_total - staked_before
+    nfts_minted = staked_total - state.staked_total
+    state.staked_total = staked_total
 
     # (4) payout to this iteration's staked cohort
     if nfts_minted > 0:
@@ -333,6 +343,7 @@ def step(state: ServerFiState, rng: np.random.Generator) -> Tuple[ServerFiState,
             departures = int(leave.sum())
     if departures:
         fragments_departed = int(by_type.sum(axis=0)[leave].sum())
+        state.fragments_held -= fragments_departed
         credit_departed = float(state.draw_credit[leave].sum())
         state.keep(~leave)
 
@@ -352,7 +363,7 @@ def step(state: ServerFiState, rng: np.random.Generator) -> Tuple[ServerFiState,
             "staked_total": float(staked_total),
             "per_nft_reward": reward,
             "draws": float(draws_total),
-            "inventory_total": float(int(state.by_type.sum()) - p.k * staked_total),
+            "inventory_total": float(state.fragments_held - p.k * staked_total),
             "fragments_departed": float(fragments_departed),
             "draw_credit_total": float(state.draw_credit.sum()),
             "credit_departed": credit_departed,

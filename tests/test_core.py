@@ -220,6 +220,69 @@ class TestInitProductivity:
                 init_productivity(rng, params)
 
 
+class CraftedRng:
+    """Duck-typed stream whose ``standard_normal(n)`` returns crafted values."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
+
+    def standard_normal(self, n):
+        assert n == len(self.values)
+        return self.values.copy()
+
+
+class TestInitProductivityExpPaths:
+    """The batch exponential equals ``math.exp`` on both sides of 708.
+
+    A cohort whose largest ``sigma * z`` is at most 708 is exponentiated
+    by numpy's complex exp, a cohort above 708 by ``math.exp`` per element.
+    A failure on the first path on a new platform means that its libm
+    ``cexp`` of a zero imaginary part does not reduce to ``exp``.
+    """
+
+    PARAMS = EconParams(
+        productivity_init_mean=1.0, productivity_init_sigma=1.0, productivity_floor=5e-324
+    )
+
+    def batch(self, values):
+        with np.errstate(over="raise", invalid="raise"):
+            return init_productivity_batch(CraftedRng(values), len(values), self.PARAMS)
+
+    def scalar_rule(self, values):
+        p = self.PARAMS
+        return [
+            max(p.productivity_init_mean * math.exp(p.productivity_init_sigma * z),
+                p.productivity_floor)
+            for z in values
+        ]
+
+    def test_cohort_up_to_708_matches_the_scalar_rule(self):
+        rng = np.random.default_rng(708)
+        edges = [-746.0, -745.2, -745.13, -744.5, -740.0, -709.0, -708.4,
+                 -0.0, 0.0, 1e-300, 707.99, 708.0]
+        spread = np.linspace(-746.0, 708.0, 20_001)
+        values = np.concatenate([edges, spread, rng.uniform(-746.0, 708.0, 20_000)])
+        batch = self.batch(values)
+        expected = self.scalar_rule(values)
+        assert batch.tolist() == expected
+        # the range reaches exponentials that underflow to a subnormal and to 0.0
+        assert 0.0 < math.exp(-740.0) < sys.float_info.min
+        assert math.exp(-746.0) == 0.0 and batch[0] == self.PARAMS.productivity_floor
+
+    # glibc's cexp differs from exp on about 1 in 8 values in (709, 709.78]
+    @pytest.mark.parametrize("top", [708.5, 709.05, 709.3, 709.7, 709.78])
+    def test_cohort_above_708_matches_the_scalar_rule(self, top):
+        rng = np.random.default_rng(709)
+        values = np.concatenate([rng.uniform(708.0, top, 4_000), rng.uniform(-746.0, 708.0, 500)])
+        values[-1] = top
+        assert self.batch(values).tolist() == self.scalar_rule(values)
+
+    def test_cohort_above_709_79_raises_the_sigma_error(self):
+        values = np.array([0.0, -3.0, 709.79, 1.0])
+        with pytest.raises(ValueError, match=r"econ\.productivity_init_sigma"):
+            self.batch(values)
+
+
 class TestMutateProductivity:
     def test_zero_sigma_is_identity(self):
         params = EconParams(mutation_sigma=0.0)
