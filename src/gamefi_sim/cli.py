@@ -15,6 +15,7 @@ import contextlib
 import dataclasses
 import json
 import os
+import stat
 import sys
 from typing import Callable, Iterator, List, Optional, Tuple
 
@@ -122,6 +123,15 @@ def _write_outputs(outputs: List[Tuple[str, Callable[[str], None]]]) -> None:
         raise
 
 
+def _is_special_file(path: str) -> bool:
+    """True if ``path`` names a FIFO, socket or device, or a symlink to one."""
+    try:
+        mode = os.stat(path).st_mode
+    except OSError:
+        return False
+    return stat.S_ISFIFO(mode) or stat.S_ISSOCK(mode) or stat.S_ISCHR(mode) or stat.S_ISBLK(mode)
+
+
 def _cmd_simulate(args: argparse.Namespace) -> None:
     with _io_failure("cannot read config"), open(args.config, "r", encoding="utf-8") as handle:
         text = handle.read()
@@ -141,6 +151,10 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     if args.report is not None and os.path.realpath(args.report) == os.path.realpath(args.out):
         # the second rename would replace the first output
         raise ConfigError("--report must name a different file than --out")
+    for flag, path in (("--out", args.out), ("--report", args.report)):
+        # its rename would put a regular file in place of it, or of the link to it
+        if path is not None and _is_special_file(path):
+            raise ConfigError(f"{flag} names {path}, which is a FIFO, socket or device")
     # run_experiment refuses --workers < 1 before it simulates; a run can
     # still fail validation midway, e.g. on too many lottery draws or a float
     # overflow, and so can its mean or trend

@@ -53,12 +53,10 @@ class EconParams:
 class IterationRecord:
     """Observables for one simulated iteration (day) of one repeat.
 
-    ``extra`` holds model-specific float counters, read by ``perfbench/checks.py``.
-    serverfi: this iteration's ``nfts_minted``, ``draws``, ``per_nft_reward``
-    (0.0 with no mint), ``fragments_departed`` and ``credit_departed``, and
-    the ``staked_total``, ``inventory_total`` (unminted fragments) and
-    ``draw_credit_total`` the remaining players hold. retention: ``payout_total``, ``winner_count``
-    and ``window_total_sum`` (the total the reward pool is a share of).
+    An item of a :class:`RepeatRecords`, built on access. ``extra`` maps
+    each of the model's ``COUNTERS`` (see ``serverfi.COUNTERS`` and
+    ``retention.COUNTERS``) to its float value; ``perfbench/checks.py``
+    reads it.
     """
 
     iteration: int
@@ -69,54 +67,43 @@ class IterationRecord:
     extra: Dict[str, float] = field(default_factory=dict)
 
 
-# the IterationRecord fields a RepeatRecords table holds before the extra
-# keys, in declaration order, and the type each item restores
+# the IterationRecord fields a RepeatRecords table holds before the model's
+# counters, in declaration order, and the type each item restores
 RECORD_FIELDS = tuple(f.name for f in fields(IterationRecord) if f.name != "extra")
 _FIELD_TYPES = tuple(map(get_type_hints(IterationRecord).get, RECORD_FIELDS))
 _get_fields = operator.attrgetter(*RECORD_FIELDS)
 
 
 class RepeatRecords(Sequence[IterationRecord]):
-    """One finished repeat's IterationRecords, held as one read-only float64 table.
+    """One repeat's per-iteration observables, held as one float64 table.
 
-    Row ``t`` is iteration ``t + 1``. The :attr:`columns` are
-    :data:`RECORD_FIELDS`, then the ``extra`` keys in the order the step
-    wrote them. Every value is a float or an int below 2**53, so float64
-    holds it exactly: an item equals the record it was packed from, has the
-    same ``repr`` (the int fields are restored with ``int()``), and is built
-    on access, never cached. A slice is a list, and the view compares equal
-    to a list of the same records. The table costs 8 bytes per column per
-    record, against about half a KiB for an IterationRecord.
+    Row ``t`` is the row the model's step returned for iteration ``t + 1``.
+    The :attr:`columns` are :data:`RECORD_FIELDS`, then the model's
+    :attr:`counters`. Every value is a float or an int below 2**53, so
+    float64 holds it exactly. An item is an :class:`IterationRecord` built
+    on access (the int fields restored with ``int()``), and assigning one
+    writes its row. A slice is a list, and the view compares equal to a
+    list of the same records. :meth:`column` views are read-only. The table
+    costs 8 bytes per column per iteration.
     """
 
     __hash__ = None  # type: ignore[assignment]
 
-    def __init__(self, table: np.ndarray, extra_keys: Tuple[str, ...]) -> None:
-        """Take over ``table``, whose columns are RECORD_FIELDS + ``extra_keys``, read-only."""
-        table.flags.writeable = False
+    def __init__(self, table: np.ndarray, counters: Tuple[str, ...]) -> None:
+        """Take over ``table``, whose columns are RECORD_FIELDS + ``counters``."""
         self._table = table
-        self._extra_keys = extra_keys
-        self.columns = RECORD_FIELDS + extra_keys
-
-    @classmethod
-    def pack(cls, records: Sequence[IterationRecord]) -> RepeatRecords:
-        """Pack records that all carry the first record's ``extra`` keys, in its order."""
-        keys = tuple(records[0].extra) if records else ()
-        rows = []
-        for t, record in enumerate(records):
-            if tuple(record.extra) != keys:
-                raise ValueError(f"record {t} has extra keys {tuple(record.extra)}, expected {keys}")
-            rows.append((*_get_fields(record), *record.extra.values()))
-        width = len(RECORD_FIELDS) + len(keys)
-        return cls(np.array(rows, dtype=np.float64).reshape(len(rows), width), keys)
+        self.counters = counters
+        self.columns = RECORD_FIELDS + counters
 
     def column(self, name: str) -> np.ndarray:
         """The read-only values of column ``name``, one per iteration."""
-        return self._table[:, self.columns.index(name)]
+        view = self._table[:, self.columns.index(name)]
+        view.flags.writeable = False
+        return view
 
     def _record(self, row: List[float]) -> IterationRecord:
         values = [kind(value) for kind, value in zip(_FIELD_TYPES, row)]
-        extra = dict(zip(self._extra_keys, row[len(RECORD_FIELDS):]))
+        extra = dict(zip(self.counters, row[len(RECORD_FIELDS):]))
         return IterationRecord(*values, extra)
 
     def __len__(self) -> int:
@@ -127,19 +114,26 @@ class RepeatRecords(Sequence[IterationRecord]):
             return [self._record(row) for row in self._table[index].tolist()]
         return self._record(self._table[operator.index(index)].tolist())
 
+    def __setitem__(self, index: int, record: IterationRecord) -> None:
+        """Write ``record``, whose ``extra`` keys are the counters in order, into its row."""
+        keys = tuple(record.extra)
+        if keys != self.counters:
+            raise ValueError(f"record {index} has extra keys {keys}, expected {self.counters}")
+        self._table[operator.index(index)] = (*_get_fields(record), *record.extra.values())
+
     def __iter__(self) -> Iterator[IterationRecord]:
         for row in self._table:
             yield self._record(row.tolist())
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, RepeatRecords) and other._extra_keys == self._extra_keys:
+        if isinstance(other, RepeatRecords) and other.counters == self.counters:
             return bool(np.array_equal(self._table, other._table))
         if isinstance(other, (RepeatRecords, list)):
             return list(self) == list(other)
         return NotImplemented
 
     def __reduce__(self):
-        return (RepeatRecords, (self._table, self._extra_keys))
+        return (RepeatRecords, (self._table, self.counters))
 
 
 @dataclass

@@ -18,23 +18,23 @@ import numpy as np
 from . import retention, serverfi
 from .core import (
     MAX_SEED,
+    RECORD_FIELDS,
     STORE_FACTOR,
     EconParams,
-    IterationRecord,
     RepeatRecords,
     derive_stream,
 )
 
-# model modules: new_state(params, econ), step(state, rng) and
-# state_columns(params), with params the ExperimentSpec field of that name
+# model modules: new_state(params, econ), state_columns(params), with params
+# the ExperimentSpec field of that name, COUNTERS, and step(state, rng), which
+# returns the state and a tuple of RECORD_FIELDS + COUNTERS values
 MODELS = {"serverfi": serverfi, "retention": retention}
 
 # Run budget, checked before simulating. MAX_STATE_BYTES bounds what the
 # population's column store may allocate (the step's temporaries take a few
-# times its live columns); MAX_RECORDS bounds the iteration x repeat records
-# an experiment holds, 8 bytes per RepeatRecords column each (13 columns for
-# serverfi, 8 for retention: at most 104 MiB), plus the list of the one
-# repeat that is running.
+# times its live columns); MAX_RECORDS bounds the iteration x repeat rows of
+# the RepeatRecords tables an experiment holds, 8 bytes per column each (13
+# columns for serverfi, 8 for retention: at most 104 MiB).
 MAX_STATE_BYTES = 2**30
 MAX_RECORDS = 2**20
 
@@ -64,9 +64,9 @@ class ExperimentSpec:
 class AggregateSeries:
     """Per-iteration statistics across repeats: the band and the mean line.
 
-    Field ``<statistic>_<attribute>`` holds, per iteration (position 0 holds
-    iteration 1), that statistic across repeats of the IterationRecord
-    attribute: ``min``/``max`` bound the band and ``mean`` is the line.
+    Field ``<statistic>_<column>`` holds, per iteration (position 0 holds
+    iteration 1), that statistic across repeats of the RepeatRecords
+    column: ``min``/``max`` bound the band and ``mean`` is the line.
     The fields, in order, are the series CSV's columns after ``iteration``
     (see ``analysis.CSV_HEADER``).
     """
@@ -123,42 +123,40 @@ def _check_budget(spec: ExperimentSpec) -> None:
         )
 
 
-def run_once(spec: ExperimentSpec, repeat_index: int) -> List[IterationRecord]:
+def run_once(spec: ExperimentSpec, repeat_index: int) -> RepeatRecords:
     """Run one repeat; output is a pure function of (spec, repeat_index).
 
-    ``spec`` was checked when it was built. A float overflow in a step is a
-    ValueError naming repeat and iteration.
+    Row ``t`` of the returned table is the row the step returned for
+    iteration ``t + 1``. ``spec`` was checked when it was built. A float
+    overflow in a step is a ValueError naming repeat and iteration.
     """
     if not 0 <= repeat_index < spec.repeats:
         raise ValueError("repeat_index must be in [0, repeats)")
     rng = derive_stream(spec.master_seed, repeat_index)
     model = MODELS[spec.model]
     state = model.new_state(getattr(spec, spec.model), spec.econ)
-    records: List[IterationRecord] = []
+    table = np.empty((spec.iterations, len(RECORD_FIELDS) + len(model.COUNTERS)))
     try:
         with np.errstate(over="raise", invalid="raise"):
-            for _ in range(spec.iterations):
-                state, record = model.step(state, rng)
-                records.append(record)
+            for t in range(spec.iterations):
+                state, table[t] = model.step(state, rng)
     except FloatingPointError as exc:
         raise ValueError(
             f"repeat {repeat_index}, iteration {state.iteration + 1}: a value overflows "
             f"a float ({exc}); lower the econ.productivity_* values"
         ) from None
-    return records
+    return RepeatRecords(table, model.COUNTERS)
 
 
-def aggregate(results: Sequence[Sequence[IterationRecord]]) -> AggregateSeries:
-    """Pointwise mean/min/max across repeats.
+def aggregate(tables: Sequence[RepeatRecords]) -> AggregateSeries:
+    """Pointwise mean/min/max across repeats, one RepeatRecords table each.
 
-    Each repeat is a RepeatRecords table; a plain list of records is packed
-    into one first. Means use exact compensated summation, so the outcome
-    does not depend on the order repeats are supplied in. A sum too large
-    for a float raises ValueError.
+    Means use exact compensated summation, so the outcome does not depend on
+    the order repeats are supplied in. A sum too large for a float raises
+    ValueError.
     """
-    if not results:
+    if not tables:
         raise ValueError("aggregate requires at least one repeat")
-    tables = [r if isinstance(r, RepeatRecords) else RepeatRecords.pack(r) for r in results]
     length = len(tables[0])
     for r, table in enumerate(tables):
         if len(table) != length:
@@ -185,9 +183,9 @@ def aggregate(results: Sequence[Sequence[IterationRecord]]) -> AggregateSeries:
 
 
 def _run_repeat(args: Tuple[ExperimentSpec, int]) -> RepeatRecords:
-    """Run one repeat and pack its records as soon as it finishes."""
+    """Run a ``(spec, repeat_index)`` job by the module-level ``run_once``, which may be wrapped."""
     spec, repeat_index = args
-    return RepeatRecords.pack(run_once(spec, repeat_index))
+    return run_once(spec, repeat_index)
 
 
 def run_experiment(

@@ -17,7 +17,6 @@ import numpy as np
 
 from .core import (
     EconParams,
-    IterationRecord,
     Population,
     cohort_size,
     init_productivity_batch,
@@ -201,6 +200,11 @@ def _top_winners(totals: np.ndarray, count: int) -> Tuple[np.ndarray, np.ndarray
     return winners, -ranked[:count]
 
 
+# The counters a step's row holds after core.RECORD_FIELDS: this iteration's
+# payout, winners and window total (the total the reward pool is a share of).
+COUNTERS = ("payout_total", "winner_count", "window_total_sum")
+
+
 @dataclass
 class RetentionState(Population):
     """World state of one repeat: a population with tolerance, miss streak
@@ -233,16 +237,15 @@ def state_columns(params: RetentionParams) -> int:
     return params.window + 4
 
 
-def step(
-    state: RetentionState, rng: np.random.Generator
-) -> Tuple[RetentionState, IterationRecord]:
+def step(state: RetentionState, rng: np.random.Generator) -> Tuple[RetentionState, Tuple]:
     """Advance the world by one iteration, mutating ``state`` in place.
 
     Phase order: (1) ungated arrivals, (2) contributions recorded into the
     trailing window, (3) ranking, winner selection and payout, (4) miss
     bookkeeping and churn, (5) mutation of survivor productivity. Stream
     consumption per iteration: one normal per joiner, then one uniform per
-    joiner (tolerance), then one normal per survivor.
+    joiner (tolerance), then one normal per survivor. Returns the state and
+    the iteration's row: the ``core.RECORD_FIELDS``, then the :data:`COUNTERS`.
 
     Ranking orders by window total, highest first, with ties to the lower
     id. One sort of the negated totals gives the winning threshold and the
@@ -300,16 +303,6 @@ def step(
         state.productivity[...] = mutate_productivity_batch(state.productivity, rng, econ)
 
     state.iteration = i
-    record = IterationRecord(
-        iteration=i,
-        total_value=total_value,
-        active_players=n,
-        joins=joins,
-        departures=departures,
-        extra={
-            "payout_total": payout_total,
-            "winner_count": float(winner_count),
-            "window_total_sum": window_total_sum,
-        },
+    return state, (
+        i, total_value, n, joins, departures, payout_total, winner_count, window_total_sum
     )
-    return state, record

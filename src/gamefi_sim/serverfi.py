@@ -27,7 +27,6 @@ import numpy as np
 
 from .core import (
     EconParams,
-    IterationRecord,
     Population,
     cohort_size,
     init_productivity_batch,
@@ -184,6 +183,16 @@ def should_churn(
     return cost > last_per_nft_reward * params.payoff_horizon
 
 
+# The counters a step's row holds after core.RECORD_FIELDS: this iteration's
+# NFTs minted, the NFTs staked, the per-NFT reward (0.0 with no mint), the
+# draws, the unminted fragments held, the fragments departed, the credit held
+# and the credit departed.
+COUNTERS = (
+    "nfts_minted", "staked_total", "per_nft_reward", "draws", "inventory_total",
+    "fragments_departed", "draw_credit_total", "credit_departed",
+)
+
+
 @dataclass
 class ServerFiState(Population):
     """World state of one repeat: a population with draw credit, fragment
@@ -239,7 +248,7 @@ def state_columns(params: ServerFiParams) -> int:
     return params.k + 4
 
 
-def step(state: ServerFiState, rng: np.random.Generator) -> Tuple[ServerFiState, IterationRecord]:
+def step(state: ServerFiState, rng: np.random.Generator) -> Tuple[ServerFiState, Tuple]:
     """Advance the world by one iteration, mutating ``state`` in place.
 
     Phase order: (1) gated arrivals, (2) contributions (total value T is
@@ -248,7 +257,8 @@ def step(state: ServerFiState, rng: np.random.Generator) -> Tuple[ServerFiState,
     payout to the freshly staked cohort, (5) rational churn, (6) mutation
     of survivor productivity. Stream consumption per iteration is: one
     normal per joiner, one uniform per lottery draw, one normal per
-    survivor, in that order.
+    survivor, in that order. Returns the state and the iteration's row:
+    the ``core.RECORD_FIELDS``, then the :data:`COUNTERS`.
 
     Phase (3) converts credit to draws in float (``floor`` of the credit
     over ``lam``, exact below 2**53) and refuses, with a ValueError, an
@@ -352,24 +362,11 @@ def step(state: ServerFiState, rng: np.random.Generator) -> Tuple[ServerFiState,
         state.productivity[...] = mutate_productivity_batch(state.productivity, rng, econ)
 
     state.iteration = i
-    record = IterationRecord(
-        iteration=i,
-        total_value=total_value,
-        active_players=n,
-        joins=joins,
-        departures=departures,
-        extra={
-            "nfts_minted": float(nfts_minted),
-            "staked_total": float(staked_total),
-            "per_nft_reward": reward,
-            "draws": float(draws_total),
-            "inventory_total": float(state.fragments_held - p.k * staked_total),
-            "fragments_departed": float(fragments_departed),
-            "draw_credit_total": float(state.draw_credit.sum()),
-            "credit_departed": credit_departed,
-        },
+    return state, (
+        i, total_value, n, joins, departures, nfts_minted, staked_total, reward, draws_total,
+        state.fragments_held - p.k * staked_total, fragments_departed,
+        state.draw_credit.sum(), credit_departed,
     )
-    return state, record
 
 
 @functools.lru_cache(maxsize=None)

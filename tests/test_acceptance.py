@@ -24,6 +24,7 @@ from gamefi_sim.serverfi import (
     entry_gate,
     expected_collection_cost,
 )
+from test_steps import step_record
 
 GIB = 1024**3
 
@@ -125,7 +126,7 @@ def test_criterion_5_conservation_over_full_runs():
     rng = derive_stream(spec.master_seed, 0)
     worst_rel = 0.0
     for _ in range(spec.iterations):
-        _, record = retention.step(state, rng)
+        record = step_record(retention, retention.step(state, rng)[1])
         basis = spec.retention.pool_share * record.extra["window_total_sum"]
         if record.active_players:
             err = abs(record.extra["payout_total"] - basis)
@@ -147,7 +148,7 @@ def test_criterion_5_conservation_over_full_runs():
         ids_before = state.ids.copy()
         credit_before = state.draw_credit.copy()
         value_before = state.productivity.copy()
-        _, record = serverfi.step(state, rng)
+        record = step_record(serverfi, serverfi.step(state, rng)[1])
 
         drawn += int(record.extra["draws"])
         minted += int(record.extra["nfts_minted"])

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import os
+import stat
 
 import pytest
 
@@ -306,6 +308,27 @@ class TestAtomicOutputs:
             "error: --report must name a different file than --out"
         ]
         assert list(work.iterdir()) == []
+
+    @pytest.mark.parametrize("name", ["fifo", "link"])
+    @pytest.mark.parametrize("flag", ["--out", "--report"])
+    def test_output_naming_a_fifo_exits_one_before_simulating(
+        self, config_path, tmp_path, capsys, flag, name
+    ):
+        # else the output's rename would replace the FIFO, or the link to
+        # it, with a regular file
+        os.mkfifo(tmp_path / "fifo")
+        os.symlink("fifo", tmp_path / "link")
+        paths = {"--out": tmp_path / "run.csv", "--report": tmp_path / "report.json"}
+        paths[flag] = tmp_path / name
+        assert simulate_with_report(config_path, paths["--out"], paths["--report"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert error_lines(captured.err) == captured.err.splitlines() == [
+            f"error: {flag} names {tmp_path / name}, which is a FIFO, socket or device"
+        ]
+        assert stat.S_ISFIFO(os.lstat(tmp_path / "fifo").st_mode)
+        assert os.readlink(tmp_path / "link") == "fifo"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "fifo", "link"]
 
     def test_failed_rename_removes_the_outputs_already_placed(
         self, config_path, tmp_path, capsys

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gamefi_sim import harness, serverfi
-from gamefi_sim.core import STORE_FACTOR, EconParams, IterationRecord, derive_stream
+from gamefi_sim.core import STORE_FACTOR, EconParams, RepeatRecords, derive_stream
 from gamefi_sim.harness import (
     AggregateSeries,
     ExperimentSpec,
@@ -18,6 +18,7 @@ from gamefi_sim.harness import (
 )
 from gamefi_sim.retention import RetentionParams
 from gamefi_sim.serverfi import ServerFiParams
+from test_steps import step_record
 
 SMALL_SERVERFI = ExperimentSpec(
     model="serverfi",
@@ -46,8 +47,9 @@ INVALID_SPECS = [
 ]
 
 
-def _record(iteration, total, active=0):
-    return IterationRecord(iteration, total, active, 0, 0)
+def _repeat(*rows):
+    """A repeat of (iteration, total_value, active_players) rows, no joins or departures."""
+    return RepeatRecords(np.array([(*row, 0, 0) for row in rows], dtype=float), ())
 
 
 class TestValidateSpec:
@@ -134,7 +136,7 @@ class TestValidateSpec:
         rng = derive_stream(8, 0)
         peak = departures = 0
         for _ in range(80):
-            record = module.step(state, rng)[1]
+            record = step_record(module, module.step(state, rng)[1])
             peak = max(peak, record.active_players)
             departures += record.departures
             assert state.nbytes <= STORE_FACTOR * 8 * module.state_columns(params) * peak
@@ -195,7 +197,7 @@ class TestRunOnce:
 
 class TestAggregate:
     def test_pointwise_statistics(self):
-        results = [[_record(1, 1.0, 2)], [_record(1, 2.0, 4)], [_record(1, 3.0, 6)]]
+        results = [_repeat((1, 1.0, 2)), _repeat((1, 2.0, 4)), _repeat((1, 3.0, 6))]
         series = aggregate(results)
         assert series.mean_total_value == [2.0]
         assert series.min_total_value == [1.0]
@@ -214,7 +216,7 @@ class TestAggregate:
         assert forward == backward
 
     def test_length_mismatch_names_offender(self):
-        results = [[_record(1, 1.0)], [_record(1, 1.0), _record(2, 1.0)]]
+        results = [_repeat((1, 1.0, 0)), _repeat((1, 1.0, 0), (2, 1.0, 0))]
         with pytest.raises(ValueError, match="repeat 1 has 2 records, expected 1"):
             aggregate(results)
 

@@ -34,7 +34,12 @@ from gamefi_sim.core import RECORD_FIELDS, EconParams, derive_stream  # noqa: E4
 from gamefi_sim.harness import ExperimentSpec, run_once  # noqa: E402
 from gamefi_sim.retention import RetentionParams  # noqa: E402
 from gamefi_sim.serverfi import ServerFiParams  # noqa: E402
-from test_steps import reference_retention_run, run_serverfi_against_reference  # noqa: E402
+from test_steps import (  # noqa: E402
+    reference_retention_run,
+    run_serverfi_against_reference,
+    step_record,
+    step_records,
+)
 
 SIGMAS = st.sampled_from([0.0, 0.1, 0.5, 1.0])
 ECON = st.builds(
@@ -87,7 +92,7 @@ def test_serverfi_staked_is_the_minimum_of_cumulative_counts(params, econ, seed,
     state = serverfi.new_state(params, econ)
     rng = derive_stream(seed, 0)
     for _ in range(iterations):
-        record = serverfi.step(state, rng)[1]
+        record = step_record(serverfi, serverfi.step(state, rng)[1])
         counts = state.counts
         assert state.staked.tolist() == state.by_type.min(axis=0).tolist()
         assert (counts.min(axis=1) == 0).all()
@@ -100,7 +105,7 @@ def test_serverfi_staked_is_the_minimum_of_cumulative_counts(params, econ, seed,
 def test_retention_step_equals_reference(params, econ, seed, iterations):
     state = retention.new_state(params, econ)
     rng = derive_stream(seed, 0)
-    records = [retention.step(state, rng)[1] for _ in range(iterations)]
+    records = step_records(retention, [retention.step(state, rng)[1] for _ in range(iterations)])
 
     ref_records, ref_players = reference_retention_run(params, econ, seed, iterations)
     assert len(records) == len(ref_records)

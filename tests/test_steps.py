@@ -17,12 +17,23 @@ import pytest
 from gamefi_sim import retention, serverfi
 from gamefi_sim.core import (
     EconParams,
+    RepeatRecords,
     derive_stream,
     init_productivity,
     mutate_productivity,
 )
 from gamefi_sim.retention import RetentionParams, RetentionPlayer
 from gamefi_sim.serverfi import ServerFiParams, ServerFiPlayer
+
+
+def step_records(model, rows):
+    """The rows a model's step returned, viewed as the RepeatRecords run_once fills."""
+    return RepeatRecords(np.array(rows, dtype=float), model.COUNTERS)
+
+
+def step_record(model, row):
+    """One row a model's step returned, viewed as an IterationRecord."""
+    return step_records(model, [row])[0]
 
 
 def reference_serverfi_run(params, econ, seed, iterations):
@@ -122,11 +133,12 @@ def run_serverfi_against_reference(params, econ, seed, iterations):
     """
     state = serverfi.new_state(params, econ)
     rng = derive_stream(seed, 0)
-    records = []
+    rows = []
     rewards = []
     for _ in range(iterations):
-        records.append(serverfi.step(state, rng)[1])
+        rows.append(serverfi.step(state, rng)[1])
         rewards.append(state.last_per_nft_reward)
+    records = step_records(serverfi, rows)
 
     ref_records, ref_players = reference_serverfi_run(params, econ, seed, iterations)
     assert len(records) == len(ref_records)
@@ -152,8 +164,8 @@ def serverfi_digest(params, econ, seed, iterations):
     next stream value."""
     state = serverfi.new_state(params, econ)
     rng = derive_stream(seed, 0)
-    records = [serverfi.step(state, rng)[1] for _ in range(iterations)]
-    digest = hashlib.sha256(repr(records).encode())
+    rows = [serverfi.step(state, rng)[1] for _ in range(iterations)]
+    digest = hashlib.sha256(repr(list(step_records(serverfi, rows))).encode())
     for column in (state.ids, state.productivity, state.draw_credit, state.counts, state.staked):
         digest.update(f"{column.dtype}{column.shape}".encode())
         digest.update(column.tobytes())
@@ -166,8 +178,8 @@ def retention_digest(params, econ, seed, iterations):
     tolerance and misses columns (with dtypes) and the next stream value."""
     state = retention.new_state(params, econ)
     rng = derive_stream(seed, 0)
-    records = [retention.step(state, rng)[1] for _ in range(iterations)]
-    digest = hashlib.sha256(repr(records).encode())
+    rows = [retention.step(state, rng)[1] for _ in range(iterations)]
+    digest = hashlib.sha256(repr(list(step_records(retention, rows))).encode())
     for column in (state.ids, state.productivity, state.tolerance, state.misses):
         digest.update(str(column.dtype).encode())
         digest.update(column.tobytes())
@@ -185,7 +197,7 @@ class TestServerFiStep:
         rng = derive_stream(0, 0)
         serverfi.step(state, rng)
         assert int(state.staked.sum()) == 0
-        _, record = serverfi.step(state, rng)
+        record = step_record(serverfi, serverfi.step(state, rng)[1])
         assert int(state.staked.sum()) >= 1
         assert record.extra["nfts_minted"] >= 1
 
@@ -194,7 +206,7 @@ class TestServerFiStep:
         state = serverfi.new_state(params, EconParams())
         rng = derive_stream(1, 0)
         for i in range(1, 6):
-            _, record = serverfi.step(state, rng)
+            record = step_record(serverfi, serverfi.step(state, rng)[1])
             assert record.iteration == i
             assert record.total_value == 0.0
             assert record.active_players == 0
@@ -217,7 +229,7 @@ class TestServerFiStep:
         state = serverfi.new_state(params, EconParams())
         rng = derive_stream(4, 0)
         for _ in range(10):
-            _, record = serverfi.step(state, rng)
+            record = step_record(serverfi, serverfi.step(state, rng)[1])
             if record.extra["nfts_minted"] > 0:
                 break
             assert record.departures == 0
@@ -295,7 +307,7 @@ class TestServerFiStep:
         params = ServerFiParams(n0=30, alpha=1e300)
         state = serverfi.new_state(params, EconParams())
         rng = derive_stream(2, 0)
-        joins = [serverfi.step(state, rng)[1].joins for _ in range(6)]
+        joins = [step_record(serverfi, serverfi.step(state, rng)[1]).joins for _ in range(6)]
         assert joins == [30, 0, 0, 0, 0, 0]
 
     def test_matches_scalar_reference_while_capacity_exceeds_the_population(self):
@@ -310,7 +322,7 @@ class TestServerFiStep:
         strided_lotteries = 0
         churned = False
         for _ in range(60):
-            record = serverfi.step(state, rng)[1]
+            record = step_record(serverfi, serverfi.step(state, rng)[1])
             # only a join grows the capacity, so the lottery saw this one
             if churned and record.extra["draws"] and state.capacity > record.active_players:
                 strided_lotteries += 1
@@ -374,7 +386,7 @@ class TestRetentionStep:
         params = RetentionParams(n0=5, alpha=1.02)
         state = retention.new_state(params, EconParams())
         rng = derive_stream(6, 0)
-        _, record = retention.step(state, rng)
+        record = step_record(retention, retention.step(state, rng)[1])
         assert record.joins == 5
         assert record.extra["winner_count"] == 1
         assert record.extra["payout_total"] == pytest.approx(0.8 * record.total_value)
@@ -394,7 +406,7 @@ class TestRetentionStep:
         state = retention.new_state(params, EconParams())
         rng = derive_stream(8, 0)
         for _ in range(5):
-            _, record = retention.step(state, rng)
+            record = step_record(retention, retention.step(state, rng)[1])
             assert record.total_value == 0.0
             assert record.active_players == 0
             assert record.extra["winner_count"] == 0
@@ -428,7 +440,7 @@ class TestRetentionStep:
         params = RetentionParams(n0=30, alpha=1e300)
         state = retention.new_state(params, EconParams())
         rng = derive_stream(2, 0)
-        joins = [retention.step(state, rng)[1].joins for _ in range(6)]
+        joins = [step_record(retention, retention.step(state, rng)[1]).joins for _ in range(6)]
         assert joins == [30, 0, 0, 0, 0, 0]
 
     def test_largest_tolerances_are_drawn_in_range(self):
@@ -456,7 +468,7 @@ class TestRetentionStep:
 
         state = retention.new_state(params, econ)
         rng = derive_stream(seed, 0)
-        records = [retention.step(state, rng)[1] for _ in range(50)]
+        records = step_records(retention, [retention.step(state, rng)[1] for _ in range(50)])
 
         ref_records, ref_players = reference_retention_run(params, econ, seed, 50)
         assert sum(r.departures for r in records) > 0
@@ -604,7 +616,7 @@ class TestRetentionBitIdentity:
         rng = derive_stream(12, 0)
         departures = 0
         for _ in range(80):
-            departures += retention.step(state, rng)[1].departures
+            departures += step_record(retention, retention.step(state, rng)[1]).departures
             assert (np.diff(state.ids) > 0).all()
             assert state.window_matrix.shape == (params.window, state.active_players)
         assert departures > 0
