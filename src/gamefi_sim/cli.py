@@ -152,9 +152,17 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
         # the second rename would replace the first output
         raise ConfigError("--report must name a different file than --out")
     for flag, path in (("--out", args.out), ("--report", args.report)):
+        if path is None:
+            continue
         # its rename would put a regular file in place of it, or of the link to it
-        if path is not None and _is_special_file(path):
+        if _is_special_file(path):
             raise ConfigError(f"{flag} names {path}, which is a FIFO, socket or device")
+        # a missing directory would fail the write only after the run
+        with _io_failure("cannot write output"):
+            try:
+                os.stat(os.path.join(os.path.dirname(os.path.abspath(path)), ""))
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, path) from exc
     # run_experiment refuses --workers < 1 before it simulates; a run can
     # still fail validation midway, e.g. on too many lottery draws or a float
     # overflow, and so can its mean or trend

@@ -87,8 +87,6 @@ class RepeatRecords(Sequence[IterationRecord]):
     costs 8 bytes per column per iteration.
     """
 
-    __hash__ = None  # type: ignore[assignment]
-
     def __init__(self, table: np.ndarray, counters: Tuple[str, ...]) -> None:
         """Take over ``table``, whose columns are RECORD_FIELDS + ``counters``."""
         self._table = table

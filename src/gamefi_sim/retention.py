@@ -153,30 +153,15 @@ def update_churn(
 
 
 def _ring_totals(ring: np.ndarray) -> np.ndarray:
-    """Column sums of ``ring``, added in numpy's row-sum order.
+    """Column sums of ``ring``, equal to ``np.ascontiguousarray(ring.T).sum(axis=1)``.
 
-    Bit-identical to ``np.ascontiguousarray(ring.T).sum(axis=1)``, the
-    row sums of the same matrix stored row-major: numpy's pairwise
-    summation adds a contiguous row sequentially below 8 entries, with 8
-    interleaved accumulators up to 128, and splits longer rows in two
-    (at a multiple of 8). The same adds are made here on whole rows.
-    Below 8 rows numpy's own axis-0 reduce makes them: it adds the rows
-    into the first one in order, in one call.
+    Below 8 rows numpy's pairwise summation adds a contiguous row in order,
+    as the axis-0 reduce adds the rows into the first one, so that reduce
+    is bit-identical and needs no transposed copy.
     """
-    count = len(ring)
-    if count < 8:
+    if len(ring) < 8:
         return np.add.reduce(ring, axis=0)
-    if count > 128:
-        half = count // 2 - (count // 2) % 8
-        return _ring_totals(ring[:half]) + _ring_totals(ring[half:])
-    top = count - count % 8
-    acc = ring[:8].copy()
-    for row in range(8, top, 8):
-        acc += ring[row:row + 8]
-    out = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-    for row in ring[top:]:
-        out += row
-    return out
+    return np.ascontiguousarray(ring.T).sum(axis=1)
 
 
 def _top_winners(totals: np.ndarray, count: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -215,10 +200,10 @@ class RetentionState(Population):
     player's iteration-``i`` contribution, so recording an iteration writes
     one contiguous row, and a player's trailing-window total is their
     column sum. It is a view of a ``(window, capacity)`` buffer, so only
-    its rows are contiguous; every pass over it goes row by row (see
-    :class:`~gamefi_sim.core.Population`). Columns are zero-filled at join,
-    and departed players take their columns (and thus their ledger
-    history) with them.
+    its rows are contiguous (see :class:`~gamefi_sim.core.Population`);
+    below 8 rows the column sums go row by row, and at 8 or more they sum
+    a transposed copy. Columns are zero-filled at join, and departed
+    players take their columns (and thus their ledger history) with them.
     """
 
     COLUMNS = ("tolerance", "misses", "window_matrix")

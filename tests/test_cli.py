@@ -330,6 +330,27 @@ class TestAtomicOutputs:
         assert os.readlink(tmp_path / "link") == "fifo"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "fifo", "link"]
 
+    @pytest.mark.parametrize("flag", ["--out", "--report"])
+    def test_output_in_missing_directory_exits_two_before_simulating(
+        self, config_path, tmp_path, capsys, monkeypatch, flag
+    ):
+        def run_experiment(*args, **kwargs):
+            raise AssertionError("simulated before checking the output directory")
+
+        monkeypatch.setattr(cli, "run_experiment", run_experiment)
+        missing = tmp_path / "missing_dir" / "output"
+        out = missing if flag == "--out" else tmp_path / "run.csv"
+        argv = ["simulate", "--config", str(config_path), "--out", str(out)]
+        if flag == "--report":
+            argv += ["--report", str(missing)]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: cannot write output: [Errno 2] No such file or directory: '{missing}'"
+        ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
     def test_failed_rename_removes_the_outputs_already_placed(
         self, config_path, tmp_path, capsys
     ):
