@@ -14,14 +14,7 @@ from .analysis import (
     write_series_csv,
 )
 from .config import ConfigError, parse_config
-from .core import (
-    EconParams,
-    IterationRecord,
-    RepeatRecords,
-    derive_stream,
-    init_productivity,
-    mutate_productivity,
-)
+from .core import EconParams, IterationRecord, RepeatRecords, derive_stream
 from .harness import (
     AggregateSeries,
     ExperimentSpec,
@@ -48,8 +41,6 @@ __all__ = [
     "aggregate",
     "coupon_oracle",
     "derive_stream",
-    "init_productivity",
-    "mutate_productivity",
     "parse_config",
     "read_series_csv",
     "run_experiment",

@@ -255,37 +255,18 @@ def derive_stream(master_seed: int, repeat_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
-def _sigma_overflow(params: EconParams) -> ValueError:
-    return ValueError(
-        f"econ.productivity_init_sigma={params.productivity_init_sigma:g} is too large: "
-        "an entry productivity exp(sigma * z) overflows a float"
-    )
-
-
-def init_productivity(rng: np.random.Generator, params: EconParams) -> float:
-    """Draw one entry productivity: log-normal with median ``init_mean``.
-
-    Raises ValueError naming ``econ.productivity_init_sigma`` when
-    ``exp(sigma * z)`` overflows a float.
-    """
-    z = rng.standard_normal()
-    try:
-        growth = math.exp(params.productivity_init_sigma * z)
-    except OverflowError:
-        raise _sigma_overflow(params) from None
-    value = params.productivity_init_mean * growth
-    return max(value, params.productivity_floor)
-
-
 def init_productivity_batch(
     rng: np.random.Generator, n: int, params: EconParams
 ) -> np.ndarray:
-    """Vector form of :func:`init_productivity` for a cohort of ``n`` joiners.
+    """Draw the entry productivities of a cohort of ``n`` joiners.
 
-    Consumes exactly ``n`` standard normals, bit-identical to ``n``
-    consecutive scalar calls on the same stream. ``sigma * z`` and the
-    final ``* mean`` and floor are vectorised: each is one correctly
-    rounded IEEE operation, the same in numpy as in Python.
+    Each is log-normal with median ``productivity_init_mean``, floored at
+    ``productivity_floor``: ``max(mean * math.exp(sigma * z), floor)`` for
+    one standard normal ``z`` per joiner. Consumes exactly ``n`` standard
+    normals, bit-identical to that scalar rule applied to ``n`` consecutive
+    draws of the same stream. ``sigma * z`` and the final ``* mean`` and
+    floor are vectorised: each is one correctly rounded IEEE operation, the
+    same in numpy as in Python.
 
     The exponential must be libm's ``exp``, the one ``math.exp`` calls.
     numpy's float64 ``exp`` is its own SIMD kernel and differs from libm
@@ -298,9 +279,9 @@ def init_productivity_batch(
     as ``exp(x - 709) * exp(709)``, which differs from ``exp`` by one ulp
     on about 1 in 8 values in (709, 709.78]. So a cohort whose largest
     ``sigma * z`` exceeds 708, one below that, goes through ``math.exp``
-    per element instead; there an overflowing exponential raises the same
-    ValueError as the scalar form. Results that underflow to a subnormal
-    or to 0.0 are the same on both paths.
+    per element instead; there an exponential that overflows a float
+    raises a ValueError naming ``econ.productivity_init_sigma``. Results
+    that underflow to a subnormal or to 0.0 are the same on both paths.
     """
     values = rng.standard_normal(n)
     values *= params.productivity_init_sigma
@@ -308,31 +289,25 @@ def init_productivity_batch(
         try:
             values = np.fromiter(map(math.exp, values.tolist()), dtype=np.float64, count=n)
         except OverflowError:
-            raise _sigma_overflow(params) from None
+            raise ValueError(
+                f"econ.productivity_init_sigma={params.productivity_init_sigma:g} is too large: "
+                "an entry productivity exp(sigma * z) overflows a float"
+            ) from None
     else:
         values[...] = np.exp(values, dtype=np.complex128).real
     values *= params.productivity_init_mean
     return np.maximum(values, params.productivity_floor, out=values)
 
 
-def mutate_productivity(v: float, rng: np.random.Generator, params: EconParams) -> float:
-    """Apply one multiplicative productivity shock.
-
-    The relative shock is a zero-mean normal clamped to [-0.9, +0.9], so a
-    single step can never wipe out (or multiply tenfold) an agent's output;
-    the result is floored at ``productivity_floor``.
-    """
-    z = rng.standard_normal()
-    eps = min(max(params.mutation_sigma * z, -0.9), 0.9)
-    return max(v * (1.0 + eps), params.productivity_floor)
-
-
 def mutate_productivity_batch(
     values: np.ndarray, rng: np.random.Generator, params: EconParams
 ) -> np.ndarray:
-    """Vector form of :func:`mutate_productivity`; one normal per survivor.
+    """Apply one multiplicative productivity shock per survivor.
 
-    The arithmetic runs in place on the fresh normal draws, so the only
+    The relative shock is a zero-mean normal, one per survivor, clamped to
+    [-0.9, +0.9], so a single step can never wipe out (or multiply tenfold)
+    an agent's output; the result is floored at ``productivity_floor``. The
+    arithmetic runs in place on the fresh normal draws, so the only
     allocation is the returned array; ``values`` is not modified. The clamp
     is two in-place ufuncs, ``np.maximum`` then ``np.minimum``: the same
     values as ``np.clip`` on every non-NaN shock, ±0.0 included, without

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -67,89 +67,6 @@ class RetentionParams:
             raise ValueError("retention.n0 must be non-negative")
         if not self.alpha > 1:
             raise ValueError("retention.alpha must exceed 1")
-
-
-@dataclass
-class RetentionPlayer:
-    """Scalar per-player view used by the rule-level operations."""
-
-    id: int
-    productivity: float
-    tolerance: int
-    consecutive_misses: int = 0
-
-
-def window_totals(
-    ledger: Mapping[int, Sequence[float]], window: int
-) -> Dict[int, float]:
-    """Sum each player's most recent contributions, up to ``window`` entries.
-
-    Players present for fewer iterations than the window are summed over
-    what they have; there is no zero-padding penalty for newcomers.
-    """
-    return {pid: math.fsum(entries[-window:]) for pid, entries in ledger.items()}
-
-
-def select_top(totals: Mapping[int, float], top_fraction: float) -> List[int]:
-    """Pick the winner set: the max(1, floor(top_fraction * N)) highest totals.
-
-    Boundary ties break toward the lower player id, so selection is fully
-    deterministic. Returns winners in rank order; empty input yields an
-    empty list.
-    """
-    if not totals:
-        return []
-    count = max(1, int(math.floor(top_fraction * len(totals))))
-    ranked = sorted(totals, key=lambda pid: (-totals[pid], pid))
-    return ranked[:count]
-
-
-def payout(
-    totals: Mapping[int, float],
-    winners: Iterable[int],
-    pool_share: float,
-    equal_split: bool = False,
-) -> Dict[int, float]:
-    """Distribute pool_share of the all-player window total among winners.
-
-    The split is proportional to each winner's own window total (or equal
-    when ``equal_split`` is set). With no winners the pool goes undistributed.
-    """
-    winners = list(winners)
-    if not winners:
-        return {}
-    pool = pool_share * math.fsum(totals.values())
-    if equal_split:
-        return {pid: pool / len(winners) for pid in winners}
-    winner_sum = math.fsum(totals[pid] for pid in winners)
-    if winner_sum <= 0.0:
-        return {pid: pool / len(winners) for pid in winners}
-    return {pid: pool * totals[pid] / winner_sum for pid in winners}
-
-
-def update_churn(
-    players: List[RetentionPlayer], winners: Iterable[int]
-) -> List[RetentionPlayer]:
-    """Advance miss counters and pull out the players who give up.
-
-    Winners reset to zero misses; everyone else gains one. Players whose
-    streak exceeds their tolerance are removed from ``players`` (in place)
-    and returned as the departure list.
-    """
-    winner_set = set(winners)
-    departed: List[RetentionPlayer] = []
-    remaining: List[RetentionPlayer] = []
-    for player in players:
-        if player.id in winner_set:
-            player.consecutive_misses = 0
-        else:
-            player.consecutive_misses += 1
-        if player.consecutive_misses > player.tolerance:
-            departed.append(player)
-        else:
-            remaining.append(player)
-    players[:] = remaining
-    return departed
 
 
 def _ring_totals(ring: np.ndarray) -> np.ndarray:

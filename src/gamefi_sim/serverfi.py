@@ -19,9 +19,8 @@ than a foregone conclusion (see ``step``).
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -77,40 +76,9 @@ class ServerFiParams:
             raise ValueError("serverfi.payoff_horizon must be at most 2**53")
 
 
-@dataclass
-class ServerFiPlayer:
-    """Scalar per-player view used by the rule-level operations."""
-
-    id: int
-    productivity: float
-    draw_credit: float = 0.0
-    counts: List[int] = field(default_factory=list)
-    staked_nfts: int = 0
-
-
 def harmonic(n: int) -> float:
     """H_n = sum_{i=1..n} 1/i, with H_0 = 0."""
     return sum(1.0 / i for i in range(1, n + 1))
-
-
-def draws_for_contribution(credit: float, value: float, lam: float) -> Tuple[int, float]:
-    """Convert carried credit plus newly contributed value into whole draws.
-
-    Returns ``(num_draws, new_credit)`` with the remainder carried forward,
-    so low producers lose nothing to rounding; ``credit + value`` always
-    equals ``num_draws * lam + new_credit``.
-    """
-    total = credit + value
-    num_draws = int(math.floor(total / lam))
-    new_credit = total - num_draws * lam
-    # guard against division rounding across an exact multiple of lam
-    if new_credit < 0.0:
-        num_draws -= 1
-        new_credit += lam
-    elif new_credit >= lam:
-        num_draws += 1
-        new_credit -= lam
-    return num_draws, new_credit
 
 
 def draw_fragments(rng: np.random.Generator, num_draws: int, k: int) -> np.ndarray:
@@ -122,16 +90,6 @@ def draw_fragments(rng: np.random.Generator, num_draws: int, k: int) -> np.ndarr
     return (u * k).astype(np.int64)
 
 
-def synthesize(counts: Sequence[int]) -> Tuple[int, List[int]]:
-    """Mint as many NFTs as the inventory allows (one of each type per mint).
-
-    Returns ``(minted, remaining_counts)``; ``minted`` is the minimum count
-    across types, i.e. synthesis repeats until some type runs out.
-    """
-    minted = min(counts)
-    return minted, [c - minted for c in counts]
-
-
 def expected_collection_cost(k: int, lam: float) -> float:
     """Expected value a newcomer must contribute to complete a full set.
 
@@ -139,13 +97,6 @@ def expected_collection_cost(k: int, lam: float) -> float:
     costing ``lam`` of contributed value.
     """
     return lam * k * harmonic(k)
-
-
-def expected_remaining_cost(missing: int, k: int, lam: float) -> float:
-    """Expected further cost to obtain ``missing`` distinct types out of k."""
-    if not 0 <= missing <= k:
-        raise ValueError("missing must be between 0 and k")
-    return lam * k * harmonic(missing)
 
 
 def per_nft_reward(total_value: float, staking_share: float, staked_count: int) -> float:
@@ -165,22 +116,6 @@ def arrivals(iteration: int, n0: int, alpha: float, gate_open: bool) -> int:
     if not gate_open:
         return 0
     return cohort_size(iteration, n0, alpha)
-
-
-def should_churn(
-    player: ServerFiPlayer, last_per_nft_reward: float, params: ServerFiParams
-) -> bool:
-    """Rational exit rule for one player (True means the player leaves).
-
-    NFT holders always stay; a non-holder leaves when the expected cost of
-    finishing their fragment set exceeds the projected payoff of the NFT it
-    would mint.
-    """
-    if player.staked_nfts >= 1:
-        return False
-    missing = sum(1 for c in player.counts if c == 0)
-    cost = expected_remaining_cost(missing, params.k, params.lam)
-    return cost > last_per_nft_reward * params.payoff_horizon
 
 
 # The counters a step's row holds after core.RECORD_FIELDS: this iteration's

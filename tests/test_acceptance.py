@@ -17,14 +17,9 @@ from gamefi_sim.analysis import coupon_oracle, trend_report, write_series_csv
 from gamefi_sim.cli import cli_main
 from gamefi_sim.core import derive_stream
 from gamefi_sim.harness import ExperimentSpec, run_experiment
-from gamefi_sim.retention import RetentionPlayer, select_top, update_churn
-from gamefi_sim.serverfi import (
-    arrivals,
-    draws_for_contribution,
-    entry_gate,
-    expected_collection_cost,
-)
-from test_steps import step_record
+from gamefi_sim.serverfi import arrivals, entry_gate, expected_collection_cost
+from reference import RetentionPlayer, draws_for_contribution, select_top, step_record
+from reference import update_churn
 
 GIB = 1024**3
 

