@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import errno
 import json
 import os
 import stat
@@ -123,13 +124,12 @@ def _write_outputs(outputs: List[Tuple[str, Callable[[str], None]]]) -> None:
         raise
 
 
-def _is_special_file(path: str) -> bool:
-    """True if ``path`` names a FIFO, socket or device, or a symlink to one."""
+def _file_type(path: str, follow_symlinks: bool = True) -> int:
+    """The ``S_IFMT`` bits of ``path``'s mode, or 0 if it cannot be stat'ed."""
     try:
-        mode = os.stat(path).st_mode
+        return stat.S_IFMT(os.stat(path, follow_symlinks=follow_symlinks).st_mode)
     except OSError:
-        return False
-    return stat.S_ISFIFO(mode) or stat.S_ISSOCK(mode) or stat.S_ISCHR(mode) or stat.S_ISBLK(mode)
+        return 0
 
 
 def _cmd_simulate(args: argparse.Namespace) -> None:
@@ -155,14 +155,16 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
         if path is None:
             continue
         # its rename would put a regular file in place of it, or of the link to it
-        if _is_special_file(path):
+        if _file_type(path) in (stat.S_IFIFO, stat.S_IFSOCK, stat.S_IFCHR, stat.S_IFBLK):
             raise ConfigError(f"{flag} names {path}, which is a FIFO, socket or device")
-        # a missing directory would fail the write only after the run
+        # a missing directory, or a directory (not a link to one) there, fails only after the run
         with _io_failure("cannot write output"):
             try:
                 os.stat(os.path.join(os.path.dirname(os.path.abspath(path)), ""))
             except OSError as exc:
                 raise OSError(exc.errno, exc.strerror, path) from exc
+            if _file_type(path, follow_symlinks=False) == stat.S_IFDIR:
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     # run_experiment refuses --workers < 1 before it simulates; a run can
     # still fail validation midway, e.g. on too many lottery draws or a float
     # overflow, and so can its mean or trend
@@ -200,10 +202,10 @@ def _cmd_oracle(args: argparse.Namespace) -> None:
 def cli_main(argv: Optional[List[str]] = None) -> int:
     """Run one subcommand and return its exit code.
 
-    This is the one place an exception becomes an exit code. A usage error
-    or a ValueError (a ConfigError, a file that is not UTF-8, a run that
-    fails validation midway) exits 1; a failed read or write exits 2. A
-    failure prints exactly one ``error:`` line to stderr.
+    This is the one place an exception becomes an exit code. A usage error,
+    a ValueError (a ConfigError, a file that is not UTF-8, a run that fails
+    validation midway) or a MemoryError exits 1; a failed read or write
+    exits 2. A failure prints exactly one ``error:`` line to stderr.
     """
     parser = _build_parser()
     try:
@@ -217,6 +219,8 @@ def cli_main(argv: Optional[List[str]] = None) -> int:
         message, code = str(exc), EXIT_VALIDATION
     except ValueError as exc:
         message, code = str(exc), EXIT_VALIDATION
+    except MemoryError as exc:
+        message, code = "out of memory" + (f": {exc}" if str(exc) else ""), EXIT_VALIDATION
     except _IOFailure as exc:
         message, code = str(exc), EXIT_IO
     print(f"error: {message}", file=sys.stderr)

@@ -147,13 +147,13 @@ class Population:
     backing buffer whose last axis is ``capacity``. :meth:`join` writes a
     cohort into the slack past ``n`` and reallocates only when the buffers
     are full, doubling them. :meth:`keep` compacts the survivors into a
-    second, reused buffer and swaps the two. So a store allocates up to
-    :data:`STORE_FACTOR` entries of each column per player it ever held at
-    once. Two rules follow. A 2-D column is not C-contiguous while
-    ``capacity > n``, so ``column.reshape(-1)`` is a copy: address entry
-    ``(row, j)`` as ``row * capacity + j`` in ``buffer(name).reshape(-1)``.
-    And a step writes new values into a column (``column[...] = values``)
-    instead of rebinding it.
+    spare bank of buffers, allocated once per capacity, and swaps the two
+    banks. So a store allocates up to :data:`STORE_FACTOR` entries of each
+    column per player it ever held at once. Two rules follow. A 2-D column
+    is not C-contiguous while ``capacity > n``, so ``column.reshape(-1)``
+    is a copy and a scatter into it is lost: scatter through
+    :meth:`tally`. And a step writes new values into a column
+    (``column[...] = values``) instead of rebinding it.
     """
 
     COLUMNS: ClassVar[Tuple[str, ...]] = ()
@@ -197,24 +197,30 @@ class Population:
             column[..., n:] = columns.get(name, 0)
             setattr(self, name, column)
 
+    def tally(self, name: str, rows: np.ndarray, players: np.ndarray) -> None:
+        """Add 1 to entry ``(rows[i], players[i])`` of 2-D column ``name``, once per ``i``.
+
+        ``rows``, an int64 array, is overwritten with the entries' flat buffer offsets.
+        """
+        rows *= self.capacity
+        rows += players
+        np.add.at(self._buffers[name].reshape(-1), rows, 1)
+
     def keep(self, mask: np.ndarray) -> None:
         """Keep only the players where ``mask`` is True, in order."""
         rows = mask.nonzero()[0]
         kept = len(rows)
-        buffers, spares = self._buffers, self._spares
+        spares = self._spares or {name: np.empty_like(b) for name, b in self._buffers.items()}
         for name in self._names():
-            spare = spares.get(name)
-            if spare is None:
-                spare = np.empty_like(buffers[name])
-            column = getattr(self, name)
+            column, spare = getattr(self, name), spares[name]
             if column.ndim == 1:
                 column.take(rows, out=spare[:kept], mode="clip")
             else:
                 # row by row: a take into a strided 2-D out goes through a copy
                 for source, target in zip(column, spare):
                     source.take(rows, out=target[:kept], mode="clip")
-            spares[name], buffers[name] = buffers[name], spare
             setattr(self, name, spare[..., :kept])
+        self._buffers, self._spares = spares, self._buffers
 
     def _grow(self, needed: int) -> None:
         """Move every column into buffers of twice the capacity, or of ``needed`` if more."""

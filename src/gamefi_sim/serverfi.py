@@ -145,11 +145,7 @@ class ServerFiState(Population):
     computed on access. A player draws at most 2**24 fragments an
     iteration over at most 2**20 iterations, so a cumulative count stays
     below 2**44, far inside int64. Each per-type pass of the step (the
-    mint minimum, the missing-type scan) reads one contiguous row. The
-    lottery scatter-adds into the flat view of the ``(k, capacity)``
-    backing buffer at ``type * capacity + player``: ``by_type`` itself is
-    not C-contiguous while ``capacity > n``, so its ``reshape(-1)`` would
-    be a copy (see :class:`~gamefi_sim.core.Population`).
+    mint minimum, the missing-type scan) reads one contiguous row.
 
     ``staked_total`` and ``fragments_held`` are the sums of ``staked`` and
     ``by_type`` over the players, kept as Python ints so that a step sums
@@ -198,9 +194,8 @@ def step(state: ServerFiState, rng: np.random.Generator) -> Tuple[ServerFiState,
     Phase (3) converts credit to draws in float (``floor`` of the credit
     over ``lam``, exact below 2**53) and refuses, with a ValueError, an
     iteration whose draws exceed :data:`MAX_DRAWS_PER_ITERATION`. The
-    draws are dealt to players in row order and scatter-added into
-    ``by_type`` with ``np.add.at``, which counts a cell hit several times
-    once per hit. Synthesis writes the per-column minimum of the k
+    draws are dealt to players in row order and tallied into ``by_type``,
+    one count per hit. Synthesis writes the per-column minimum of the k
     cumulative type rows into ``staked``, and the iteration's mint count
     is the rise in ``staked``'s sum; ``by_type`` is not written. Phase (5)
     skips the churn scan (nobody can leave) unless finishing a full set,
@@ -215,10 +210,8 @@ def step(state: ServerFiState, rng: np.random.Generator) -> Tuple[ServerFiState,
 
     # (1) arrivals
     cost = expected_collection_cost(p.k, p.lam)
-    if state.last_per_nft_reward is None:
-        gate_open = True
-    else:
-        gate_open = entry_gate(cost, state.last_per_nft_reward, p.payoff_horizon)
+    last_reward = state.last_per_nft_reward
+    gate_open = last_reward is None or entry_gate(cost, last_reward, p.payoff_horizon)
     joins = arrivals(i, p.n0, p.alpha, gate_open)
     if joins:
         state.join(init_productivity_batch(rng, joins, econ))
@@ -254,9 +247,7 @@ def step(state: ServerFiState, rng: np.random.Generator) -> Tuple[ServerFiState,
     if draws_total:
         frag = draw_fragments(rng, draws_total, p.k)
         drawers = np.flatnonzero(num_draws > 0)
-        frag *= state.capacity
-        frag += np.repeat(drawers, num_draws[drawers].astype(np.int64))
-        np.add.at(state.buffer("by_type").reshape(-1), frag, 1)
+        state.tally("by_type", frag, np.repeat(drawers, num_draws[drawers].astype(np.int64)))
     state.fragments_held += draws_total
     staked = state.staked
     by_type.min(axis=0, out=staked)
@@ -265,11 +256,9 @@ def step(state: ServerFiState, rng: np.random.Generator) -> Tuple[ServerFiState,
     state.staked_total = staked_total
 
     # (4) payout to this iteration's staked cohort
+    reward = per_nft_reward(total_value, p.staking_share, nfts_minted)
     if nfts_minted > 0:
-        reward = per_nft_reward(total_value, p.staking_share, nfts_minted)
         state.last_per_nft_reward = reward
-    else:
-        reward = 0.0
 
     # (5) churn
     departures = 0

@@ -351,13 +351,52 @@ class TestAtomicOutputs:
         ]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
-    def test_failed_rename_removes_the_outputs_already_placed(
+    @pytest.mark.parametrize("flag", ["--out", "--report"])
+    def test_output_naming_a_directory_exits_two_before_simulating(
+        self, config_path, tmp_path, capsys, monkeypatch, flag
+    ):
+        def run_experiment(*args, **kwargs):
+            raise AssertionError("simulated before checking for a directory")
+
+        monkeypatch.setattr(cli, "run_experiment", run_experiment)
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        paths = {"--out": tmp_path / "run.csv", "--report": tmp_path / "report.json"}
+        paths[flag] = folder
+        assert simulate_with_report(config_path, paths["--out"], paths["--report"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: cannot write output: [Errno 21] Is a directory: '{folder}'"
+        ]
+        assert list(folder.iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "folder"]
+
+    def test_output_naming_a_link_to_a_directory_replaces_the_link(
         self, config_path, tmp_path, capsys
     ):
-        # a directory at --report: both writes succeed, its rename fails
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        os.symlink("folder", tmp_path / "link")
+        out = tmp_path / "link"
+        assert cli_main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
+        assert not out.is_symlink() and out.read_text(encoding="utf-8").startswith("iteration,")
+        assert list(folder.iterdir()) == []
+
+    def test_failed_rename_removes_the_outputs_already_placed(
+        self, config_path, tmp_path, capsys, monkeypatch
+    ):
+        # a directory appears at --report during the run: both writes
+        # succeed, its rename fails
         out = tmp_path / "run.csv"
         report = tmp_path / "report.json"
-        report.mkdir()
+
+        def run_then_make_the_directory(*args, **kwargs):
+            result = run_experiment(*args, **kwargs)
+            report.mkdir()
+            return result
+
+        monkeypatch.setattr(cli, "run_experiment", run_then_make_the_directory)
         assert simulate_with_report(config_path, out, report) == 2
         assert len(error_lines(capsys.readouterr().err)) == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "report.json"]

@@ -149,6 +149,49 @@ class TestPopulation:
         store.grid.reshape(-1)[0] = -1
         assert store.grid[0, 0] == 2
 
+    def test_tally_counts_every_hit_on_a_strided_column(self):
+        store = Store(None, EconParams())
+        store.join(np.arange(5.0))
+        store.keep(np.array([True, True, False, True, False]))
+        store.grid += np.arange(3)[:, None] * 10
+        assert store.capacity == 5 and not store.grid.flags.c_contiguous
+        store.buffer("grid")[:, 3:] = -7
+        # row 2's player 0 is hit three times, and row 1 not at all
+        rows = np.array([0, 2, 2, 2, 0, 2], dtype=np.int64)
+        players = np.array([1, 0, 0, 0, 1, 2])
+        expected = store.grid.copy()
+        for row, player in zip(rows.tolist(), players.tolist()):
+            expected[row, player] += 1
+        store.tally("grid", rows, players)
+        assert store.grid.tolist() == expected.tolist()
+        assert expected.tolist() == [[0, 2, 0], [10, 10, 10], [23, 20, 21]]
+        # the slack past n is untouched
+        assert store.buffer("grid")[:, 3:].tolist() == [[-7, -7]] * 3
+
+    def test_keep_then_a_growing_join_then_keep_uses_the_new_capacity(self):
+        store = Store(None, EconParams())
+        store.join(np.arange(4.0), score=np.arange(4.0) * 10)
+        store.grid += np.arange(4)
+        names = ("ids", "productivity", "score", "grid")
+        old = [store.buffer(name) for name in names]
+        store.keep(np.array([True, False, True, True]))
+        old += [store.buffer(name) for name in names]
+        store.join(np.arange(4.0, 7.0), score=np.array([40.0, 50.0, 60.0]))
+        assert store.capacity == 8
+        store.grid[:, 3:] = 9
+        store.keep(np.array([False, True, True, False, True, True]))
+        assert store.ids.tolist() == [2, 3, 5, 6]
+        assert store.productivity.tolist() == [2.0, 3.0, 5.0, 6.0]
+        assert store.score.tolist() == [20.0, 30.0, 50.0, 60.0]
+        assert store.grid.tolist() == [[2, 3, 9, 9]] * 3
+        for name in names:
+            assert store.buffer(name).shape[-1] == 8
+            assert getattr(store, name).base is store.buffer(name)
+            assert not any(np.shares_memory(store.buffer(name), b) for b in old)
+        # the spare bank the second keep allocated holds the new capacity too
+        store.keep(np.ones(4, dtype=bool))
+        assert store.buffer("grid").shape == (3, 8) and store.grid.tolist() == [[2, 3, 9, 9]] * 3
+
 
 class TestCohortSize:
     def test_matches_closed_form_for_ordinary_values(self):

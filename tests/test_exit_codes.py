@@ -79,6 +79,30 @@ class TestOneErrorBoundary:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "exc, line",
+        [
+            (MemoryError(), "error: out of memory"),
+            (
+                MemoryError("Unable to allocate 8.00 GiB for an array"),
+                "error: out of memory: Unable to allocate 8.00 GiB for an array",
+            ),
+        ],
+        ids=["bare", "with_text"],
+    )
+    def test_memory_error_in_the_run_exits_one(self, tmp_path, capsys, monkeypatch, exc, line):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(TINY_CONFIG), encoding="utf-8")
+
+        def run_experiment(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "run_experiment", run_experiment)
+        out = tmp_path / "run.csv"
+        argv = ["simulate", "--config", str(config), "--out", str(out)]
+        assert run(argv, capsys) == (1, "", line + "\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize(
         "flags, message",
         [
             (["--k", "0", "--trials", "10"], "k must be at least 1"),

@@ -229,6 +229,22 @@ class TestServerFiStep:
         assert record.extra["draws"] == 663408
         assert state.draw_credit.tolist() == [1.0009999998835846]
 
+    def test_floor_one_draw_too_few_takes_one_more(self):
+        # floor(c / lam) is 12, but c - 12 * lam is 5.996251281828052, at
+        # least lam, so the joiner draws 13 and keeps a credit of 2**-49
+        lam, c = 5.99625128182805, 77.95126666376464
+        params = ServerFiParams(lam=lam, n0=1)
+        econ = EconParams(
+            productivity_init_mean=c, productivity_init_sigma=0.0, mutation_sigma=0.0
+        )
+        state = serverfi.new_state(params, econ)
+        record = step_record(serverfi, serverfi.step(state, derive_stream(0, 0))[1])
+        assert math.floor(c / lam) == 12 and c - 12 * lam >= lam
+        assert draws_for_contribution(0.0, c, lam) == (13, 1.7763568394002505e-15)
+        assert record.joins == 1 and state.productivity.tolist() == [c]
+        assert record.extra["draws"] == 13
+        assert state.draw_credit.tolist() == [1.7763568394002505e-15]
+
     def test_a_cost_equal_to_the_projected_reward_does_not_churn(self):
         # one of two types missing costs 2 * 2 * H_1 = 4.0, exactly the
         # projected reward 4.0 * 1: a player leaves only on a strict excess
