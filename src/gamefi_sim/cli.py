@@ -5,7 +5,8 @@ Subcommands:
   report    recompute trend metrics from a previously written series CSV
   oracle    check the analytic full-collection cost against brute force
 
-Exit codes: 0 success, 1 validation/usage error, 2 I/O error.
+Exit codes: 0 success, 1 validation/usage error, 2 I/O error, 3 a pool
+worker died, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from .serverfi import expected_collection_cost
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
+EXIT_WORKER_DIED = 3
+EXIT_INTERRUPTED = 130
 
 
 class _UsageError(Exception):
@@ -165,6 +168,9 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
                 raise OSError(exc.errno, exc.strerror, path) from exc
             if _file_type(path, follow_symlinks=False) == stat.S_IFDIR:
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            # a trailing separator names a directory, which the rename cannot create
+            if path.endswith(tuple(filter(None, (os.sep, os.altsep)))):
+                raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
     # run_experiment refuses --workers < 1 before it simulates; a run can
     # still fail validation midway, e.g. on too many lottery draws or a float
     # overflow, and so can its mean or trend
@@ -205,7 +211,9 @@ def cli_main(argv: Optional[List[str]] = None) -> int:
     This is the one place an exception becomes an exit code. A usage error,
     a ValueError (a ConfigError, a file that is not UTF-8, a run that fails
     validation midway) or a MemoryError exits 1; a failed read or write
-    exits 2. A failure prints exactly one ``error:`` line to stderr.
+    exits 2; a pool worker that died (a broken process pool) exits 3; an
+    interrupt (Ctrl-C) exits 130. A failure prints exactly one ``error:``
+    line to stderr.
     """
     parser = _build_parser()
     try:
@@ -223,6 +231,15 @@ def cli_main(argv: Optional[List[str]] = None) -> int:
         message, code = "out of memory" + (f": {exc}" if str(exc) else ""), EXIT_VALIDATION
     except _IOFailure as exc:
         message, code = str(exc), EXIT_IO
+    except RuntimeError as exc:
+        # imported here, so a serial run never loads the pool's modules
+        from concurrent.futures import BrokenExecutor
+
+        if not isinstance(exc, BrokenExecutor):
+            raise
+        message, code = f"a worker process died: {exc}", EXIT_WORKER_DIED
+    except KeyboardInterrupt:
+        message, code = "interrupted", EXIT_INTERRUPTED
     print(f"error: {message}", file=sys.stderr)
     return code
 

@@ -305,24 +305,32 @@ def init_productivity_batch(
     return np.maximum(values, params.productivity_floor, out=values)
 
 
+def mutation_shocks(draws: np.ndarray, sigma: float) -> np.ndarray:
+    """Turn standard normals into growth factors ``1 + clip(sigma * z, -0.9, 0.9)``, in place.
+
+    The clamp is two in-place ufuncs, ``np.maximum`` then ``np.minimum``:
+    the same values as ``np.clip`` on every non-NaN shock, ±0.0 included,
+    without its wrapper's per-call cost.
+    """
+    draws *= sigma
+    np.maximum(draws, -0.9, out=draws)
+    np.minimum(draws, 0.9, out=draws)
+    draws += 1.0
+    return draws
+
+
 def mutate_productivity_batch(
     values: np.ndarray, rng: np.random.Generator, params: EconParams
 ) -> np.ndarray:
     """Apply one multiplicative productivity shock per survivor.
 
     The relative shock is a zero-mean normal, one per survivor, clamped to
-    [-0.9, +0.9], so a single step can never wipe out (or multiply tenfold)
-    an agent's output; the result is floored at ``productivity_floor``. The
-    arithmetic runs in place on the fresh normal draws, so the only
-    allocation is the returned array; ``values`` is not modified. The clamp
-    is two in-place ufuncs, ``np.maximum`` then ``np.minimum``: the same
-    values as ``np.clip`` on every non-NaN shock, ±0.0 included, without
-    its wrapper's per-call cost.
+    [-0.9, +0.9] (:func:`mutation_shocks`), so a single step can never wipe
+    out (or multiply tenfold) an agent's output; the result is floored at
+    ``productivity_floor``. The arithmetic runs in place on the fresh
+    normal draws, so the only allocation is the returned array; ``values``
+    is not modified.
     """
-    out = rng.standard_normal(len(values))
-    out *= params.mutation_sigma
-    np.maximum(out, -0.9, out=out)
-    np.minimum(out, 0.9, out=out)
-    out += 1.0
+    out = mutation_shocks(rng.standard_normal(len(values)), params.mutation_sigma)
     out *= values
     return np.maximum(out, params.productivity_floor, out=out)

@@ -26,8 +26,11 @@ from .core import (
 )
 
 # model modules: new_state(params, econ), state_columns(params), with params
-# the ExperimentSpec field of that name, COUNTERS, and step(state, rng), which
-# returns the state and a tuple of RECORD_FIELDS + COUNTERS values
+# the ExperimentSpec field of that name, COUNTERS, step(state, rng), which
+# returns the state and a tuple of RECORD_FIELDS + COUNTERS values, and
+# coast(state, rng, rows), which fills the leading rows of the table view
+# rows exactly as the next steps would, leaving the state and stream where
+# they would, and returns how many it filled (0 when a row needs a step)
 MODELS = {"serverfi": serverfi, "retention": retention}
 
 # Run budget, checked before simulating. MAX_STATE_BYTES bounds what the
@@ -127,8 +130,9 @@ def run_once(spec: ExperimentSpec, repeat_index: int) -> RepeatRecords:
     """Run one repeat; output is a pure function of (spec, repeat_index).
 
     Row ``t`` of the returned table is the row the step returned for
-    iteration ``t + 1``. ``spec`` was checked when it was built. A float
-    overflow in a step is a ValueError naming repeat and iteration.
+    iteration ``t + 1``, or that the model's ``coast`` filled in its place
+    after a step. ``spec`` was checked when it was built. A float overflow
+    in a step is a ValueError naming repeat and iteration.
     """
     if not 0 <= repeat_index < spec.repeats:
         raise ValueError("repeat_index must be in [0, repeats)")
@@ -138,8 +142,11 @@ def run_once(spec: ExperimentSpec, repeat_index: int) -> RepeatRecords:
     table = np.empty((spec.iterations, len(RECORD_FIELDS) + len(model.COUNTERS)))
     try:
         with np.errstate(over="raise", invalid="raise"):
-            for t in range(spec.iterations):
+            t = 0
+            while t < spec.iterations:
                 state, table[t] = model.step(state, rng)
+                t += 1
+                t += model.coast(state, rng, table[t:])
     except FloatingPointError as exc:
         raise ValueError(
             f"repeat {repeat_index}, iteration {state.iteration + 1}: a value overflows "
@@ -198,7 +205,9 @@ def run_experiment(
     each repeat back as its table; scheduling cannot change the result
     because each repeat owns an independent stream and aggregation is keyed
     by repeat index. The pool has at most one process per repeat and per
-    CPU: more would only wait.
+    CPU: more would only wait. If the run fails or is interrupted, the
+    pool cancels its pending repeats and waits for the running ones before
+    the exception propagates; its workers ignore SIGINT.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -207,12 +216,18 @@ def run_experiment(
     if workers == 1:
         results = list(map(_run_repeat, jobs))
     else:
+        import signal
         from concurrent.futures import ProcessPoolExecutor
 
         # workers fork from here: importing the stream module first means no
         # worker imports it in its first repeat
         import numpy.random  # noqa: F401
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # workers ignore Ctrl-C, so an idle one prints no traceback: the
+        # parent takes it, and an exception leaving pool.map's iterator
+        # cancels the repeats not yet handed to a worker
+        with ProcessPoolExecutor(
+            workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
+        ) as pool:
             results = list(pool.map(_run_repeat, jobs))
     return aggregate(results), results

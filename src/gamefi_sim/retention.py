@@ -21,6 +21,7 @@ from .core import (
     cohort_size,
     init_productivity_batch,
     mutate_productivity_batch,
+    mutation_shocks,
 )
 
 # Tolerances are drawn through a float and stored as int64; up to 2**53 both
@@ -208,3 +209,100 @@ def step(state: RetentionState, rng: np.random.Generator) -> Tuple[RetentionStat
     return state, (
         i, total_value, n, joins, departures, payout_total, winner_count, window_total_sum
     )
+
+
+# Entries of ring history a coast builds at once (512 KiB): it works through
+# its rows in blocks of _COAST_BLOCK // window iterations, however many rows
+# it fills. Below 4 rows a block (a window over 2**14), copying the ring into
+# each row costs more than the step it replaces, so such a window is stepped.
+_COAST_BLOCK = 2**16
+
+
+def coast(state: RetentionState, rng: np.random.Generator, rows: np.ndarray) -> int:
+    """Fill the leading rows of ``rows`` as the next steps would; return how many.
+
+    Once at most one player is left and no cohort will arrive (cohorts
+    never grow again, so ``cohort_size(state.iteration + 1) == 0`` means
+    none ever will), the rest of the repeat is fixed. With no player, each
+    row is zeros after its iteration number, and nothing is drawn. One
+    player is the one winner each iteration (``winner_count`` is
+    ``max(1, floor(top_fraction))`` = 1), so their misses stay 0 and they
+    never leave; each iteration then draws exactly one normal, for their
+    mutation. So the rows follow from one block of normals: the
+    productivity is the recursion ``p = max(p * shock, floor)``, and each
+    window total is a column of ``_ring_totals`` over the ring's history,
+    summed as the step sums it. The coast leaves the state (productivity,
+    ring, misses, iteration) and the stream where the steps would.
+
+    A coast never raises a float error. Where a step would overflow it
+    stops before that iteration, so the step raises the usual error there;
+    filling none instead would make a late overflow retry the whole tail
+    after every step. Otherwise it fills every row. With more players, a cohort still to
+    come, or a lone player's window over 2**14 (see ``_COAST_BLOCK``), it
+    fills none.
+    """
+    p = state.params
+    if state.active_players > 1 or cohort_size(state.iteration + 1, p.n0, p.alpha):
+        return 0
+    if not state.active_players:
+        rows[...] = 0.0
+        rows[:, 0] = np.arange(state.iteration + 1, state.iteration + 1 + len(rows))
+        state.iteration += len(rows)
+        return len(rows)
+    block = _COAST_BLOCK // p.window
+    if block < 4:
+        return 0
+    for start in range(0, len(rows), block):
+        part = rows[start : start + block]
+        filled = _coast_one_player(state, rng, part)
+        if filled < len(part):
+            return start + filled
+    return len(rows)
+
+
+def _coast_one_player(state: RetentionState, rng: np.random.Generator, rows: np.ndarray) -> int:
+    """Fill ``rows`` for a lone player with no arrivals to come, as :func:`coast` describes.
+
+    It fills every row, or, when the step of some row would overflow, the
+    rows before it, with the stream restored and drawn again for them.
+    """
+    p, econ = state.params, state.econ
+    count = len(rows)
+    first = state.iteration + 1
+    ring = state.window_matrix[:, 0]
+    saved = rng.bit_generator.state
+    with np.errstate(over="ignore", invalid="ignore"):
+        draws = rng.standard_normal(count)
+        finite = np.isfinite(draws * econ.mutation_sigma)
+        values = [float(state.productivity[0])]
+        for shock in mutation_shocks(draws, econ.mutation_sigma).tolist():
+            values.append(max(values[-1] * shock, econ.productivity_floor))
+        values = np.array(values)
+        finite &= np.isfinite(values[1:])
+        # history[j] is the ring after iteration first + j: the ring before
+        # the block, then for each iteration's slot, its contribution in the
+        # rows up to the slot's next write, which comes window rows later
+        offsets = np.arange(count)
+        slots = (first - 1 + offsets) % p.window
+        history = np.empty((count, p.window))
+        history[...] = ring
+        for lag in range(min(p.window, count)):
+            history[offsets[lag:], slots[: count - lag]] = values[: count - lag]
+        # column by column, each total summed as the step sums its one column
+        totals = _ring_totals(history.T)
+        # as the step pays its one winner; a non-finite total makes it non-finite too
+        pool = p.pool_share * totals
+        payout = pool / 1 if p.equal_split else pool * totals / totals
+        finite &= np.isfinite(payout)
+    if not finite.all():
+        rng.bit_generator.state = saved
+        filled = int(finite.argmin())
+        return _coast_one_player(state, rng, rows[:filled]) if filled else 0
+    row = (first + offsets, values[:-1], 1, 0, 0, payout, 1, totals)
+    for column, value in enumerate(row):
+        rows[:, column] = value
+    state.productivity[0] = values[-1]
+    state.misses[0] = 0
+    ring[...] = history[-1]
+    state.iteration += count
+    return count

@@ -293,6 +293,12 @@ def step(state: ServerFiState, rng: np.random.Generator) -> Tuple[ServerFiState,
     )
 
 
+def coast(state: ServerFiState, rng: np.random.Generator, rows: np.ndarray) -> int:
+    """Fill no rows: a serverfi player keeps drawing fragments, so each row
+    depends on that step's draws."""
+    return 0
+
+
 @functools.lru_cache(maxsize=None)
 def _harmonic_table(k: int) -> np.ndarray:
     """H_0..H_k as a read-only array for vectorized remaining-cost lookups.

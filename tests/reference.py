@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from gamefi_sim import retention, serverfi
-from gamefi_sim.core import EconParams, RepeatRecords, derive_stream
+from gamefi_sim.core import RECORD_FIELDS, EconParams, RepeatRecords, derive_stream
 from gamefi_sim.serverfi import ServerFiParams, harmonic
 
 
@@ -325,3 +325,43 @@ def run_serverfi_against_reference(params, econ, seed, iterations):
     assert state.counts.tolist() == [p.counts for p in ref_players]
     assert state.staked.tolist() == [p.staked_nfts for p in ref_players]
     return records, rewards
+
+
+def retention_run(params, econ, seed, iterations, coast):
+    """A retention run by its steps alone, or by steps and ``retention.coast``
+    the way ``run_once`` takes them.
+
+    Returns the table of rows, the final ids, productivity, tolerance,
+    misses and ring (each as dtype, shape and bytes), the next stream value
+    and how many rows the coast filled.
+    """
+    state = retention.new_state(params, econ)
+    rng = derive_stream(seed, 0)
+    table = np.empty((iterations, len(RECORD_FIELDS) + len(retention.COUNTERS)))
+    coasted = t = 0
+    with np.errstate(over="raise", invalid="raise"):
+        while t < iterations:
+            state, table[t] = retention.step(state, rng)
+            t += 1
+            if coast:
+                filled = retention.coast(state, rng, table[t:])
+                coasted += filled
+                t += filled
+    columns = (state.ids, state.productivity, state.tolerance, state.misses, state.window_matrix)
+    final = [(column.dtype, column.shape, column.tobytes()) for column in columns]
+    return table, final, rng.random(), coasted
+
+
+def run_coast_against_steps(params, econ, seed, iterations):
+    """Run a retention repeat with and without ``coast``; assert bit-equality.
+
+    Checks every row, every final column and the next stream value. Returns
+    how many rows the coast filled.
+    """
+    table, final, following, coasted = retention_run(params, econ, seed, iterations, True)
+    ref_table, ref_final, ref_following, _ = retention_run(params, econ, seed, iterations, False)
+    # bit for bit: compare the rows' float64 bit patterns
+    np.testing.assert_array_equal(table.view(np.int64), ref_table.view(np.int64))
+    assert final == ref_final
+    assert following == ref_following
+    return coasted

@@ -372,6 +372,29 @@ class TestAtomicOutputs:
         assert list(folder.iterdir()) == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "folder"]
 
+    @pytest.mark.parametrize("flag", ["--out", "--report"])
+    @pytest.mark.parametrize("existing", [False, True], ids=["new_name", "existing_file"])
+    def test_output_with_a_trailing_slash_exits_two_before_simulating(
+        self, config_path, tmp_path, capsys, monkeypatch, flag, existing
+    ):
+        def run_experiment(*args, **kwargs):
+            raise AssertionError("simulated before checking for a trailing slash")
+
+        monkeypatch.setattr(cli, "run_experiment", run_experiment)
+        if existing:
+            (tmp_path / "name").write_text("previous\n", encoding="utf-8")
+        slashed = str(tmp_path / "name") + os.sep
+        paths = {"--out": tmp_path / "run.csv", "--report": tmp_path / "report.json"}
+        paths[flag] = slashed
+        assert simulate_with_report(config_path, paths["--out"], paths["--report"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: cannot write output: [Errno 20] Not a directory: '{slashed}'"
+        ]
+        names = ["config.json", "name"] if existing else ["config.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+
     def test_output_naming_a_link_to_a_directory_replaces_the_link(
         self, config_path, tmp_path, capsys
     ):

@@ -7,7 +7,11 @@ trials bound.
 """
 
 import json
+import os
+import signal
+import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -128,6 +132,135 @@ class TestOneErrorBoundary:
         with pytest.raises(SystemExit) as exited:
             cli.main()
         assert exited.value.code == 0
+
+
+class TestInterruptAndBrokenPool:
+    """A Ctrl-C exits 130 and a pool whose worker died exits 3, each with one line."""
+
+    def simulate(self, tmp_path, capsys, *flags, config=TINY_CONFIG):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        argv = ["simulate", "--config", str(path), "--out", str(tmp_path / "run.csv"), *flags]
+        return run(argv, capsys)
+
+    def test_interrupt_exits_130(self, tmp_path, capsys, monkeypatch):
+        def run_experiment(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "run_experiment", run_experiment)
+        assert self.simulate(tmp_path, capsys) == (130, "", "error: interrupted\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_broken_pool_exits_three(self, tmp_path, capsys, monkeypatch):
+        from concurrent.futures.process import BrokenProcessPool
+
+        def run_experiment(*args, **kwargs):
+            raise BrokenProcessPool("a worker was killed")
+
+        monkeypatch.setattr(cli, "run_experiment", run_experiment)
+        assert self.simulate(tmp_path, capsys) == (
+            3, "", "error: a worker process died: a worker was killed\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_other_runtime_errors_are_not_taken_for_a_broken_pool(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def run_experiment(*args, **kwargs):
+            raise RuntimeError("a defect")
+
+        monkeypatch.setattr(cli, "run_experiment", run_experiment)
+        with pytest.raises(RuntimeError, match="a defect"):
+            self.simulate(tmp_path, capsys)
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs at least 2 CPUs")
+    def test_worker_that_dies_breaks_the_pool_and_exits_three(self, tmp_path, capsys, monkeypatch):
+        # pool workers fork, so they inherit the patched run_once
+        inner = harness.run_once
+
+        def die_in_repeat_one(spec, repeat_index):
+            if repeat_index == 1:
+                os._exit(1)
+            return inner(spec, repeat_index)
+
+        monkeypatch.setattr(harness, "run_once", die_in_repeat_one)
+        code, out, err = self.simulate(tmp_path, capsys, "--workers", "2")
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: a worker process died: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs at least 2 CPUs")
+    def test_interrupt_cancels_the_pending_repeats(self, tmp_path, capsys, monkeypatch):
+        # repeat 0 is interrupted at once; every other repeat logs its start
+        # and takes a while, so without the cancel all 39 of them would run
+        log = tmp_path / "started.log"
+        inner = harness.run_once
+
+        def interrupt_repeat_zero(spec, repeat_index):
+            if repeat_index == 0:
+                raise KeyboardInterrupt
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(f"{repeat_index}\n")
+            time.sleep(0.05)
+            return inner(spec, repeat_index)
+
+        monkeypatch.setattr(harness, "run_once", interrupt_repeat_zero)
+        config = dict(TINY_CONFIG, repeats=40)
+        result = self.simulate(tmp_path, capsys, "--workers", "2", config=config)
+        assert result == (130, "", "error: interrupted\n")
+        # at most the repeats already handed to the workers ran
+        assert len(log.read_text(encoding="utf-8").splitlines()) < 10
+        assert not (tmp_path / "run.csv").exists()
+
+
+# Run in a fresh interpreter: repeat 0 logs its start and sleeps, so by the
+# time the test sends Ctrl-C to the process group the other worker has run
+# repeat 1 and waits idle for work.
+CTRL_C_RUN = """
+import sys, time
+from gamefi_sim import cli, harness
+
+inner = harness.run_once
+log_path = sys.argv.pop(1)
+
+def slow_repeat_zero(spec, repeat_index):
+    if repeat_index == 0:
+        with open(log_path, "a", encoding="utf-8") as log:
+            log.write("started\\n")
+        time.sleep(2)
+    return inner(spec, repeat_index)
+
+harness.run_once = slow_repeat_zero
+cli.main()
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs at least 2 CPUs")
+def test_ctrl_c_to_a_pooled_run_prints_one_line(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TINY_CONFIG), encoding="utf-8")
+    log = tmp_path / "started.log"
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "run.csv")]
+    process = subprocess.Popen(
+        [sys.executable, "-c", CTRL_C_RUN, str(log), *argv, "--workers", "2"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 30
+        while not log.exists() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        time.sleep(0.5)
+        os.killpg(process.pid, signal.SIGINT)
+        out, err = process.communicate(timeout=30)
+    finally:
+        process.kill()
+    assert (process.returncode, out, err) == (130, "", "error: interrupted\n")
+    assert not (tmp_path / "run.csv").exists()
 
 
 def series_csv(path, means):

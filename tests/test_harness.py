@@ -278,7 +278,7 @@ class TestRunExperiment:
         sizes = []
 
         class RecordingPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **options):
                 sizes.append(max_workers)
 
             def __enter__(self):

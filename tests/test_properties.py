@@ -16,6 +16,10 @@ exact under a power-of-two scale away from overflow and subnormals, so
 this property draws each reward share as 0 or from ``[2**-64, 1]``; the
 differential properties draw shares from all of ``[0, 1]``.
 
+Coasting: on specs that shrink to one player, a retention run by its steps
+and ``retention.coast`` equals the run by its steps alone, bit for bit, in
+every row, every final column and the next stream value.
+
 Representation: after every serverfi step, ``staked`` is the per-player
 minimum of the cumulative ``by_type`` counts, every player's inventory
 lacks some type, and the recorded totals match the columns.
@@ -36,6 +40,7 @@ from gamefi_sim.retention import RetentionParams  # noqa: E402
 from gamefi_sim.serverfi import ServerFiParams  # noqa: E402
 from reference import (  # noqa: E402
     reference_retention_run,
+    run_coast_against_steps,
     run_serverfi_against_reference,
     step_record,
     step_records,
@@ -66,16 +71,18 @@ WINDOWS = st.one_of(st.integers(1, 7), st.just(8), st.integers(9, 128), st.integ
 
 
 @st.composite
-def retention_params(draw, n0=st.integers(0, 30), pool_share=st.floats(0.0, 1.0)):
+def retention_params(
+    draw, n0=st.integers(0, 30), pool_share=st.floats(0.0, 1.0), alpha=ALPHAS, window=WINDOWS
+):
     tolerance_min = draw(st.integers(1, 12))
     return RetentionParams(
         top_fraction=draw(st.one_of(st.floats(0.01, 1.0), st.just(1.0))),
         pool_share=draw(pool_share),
-        window=draw(WINDOWS),
+        window=draw(window),
         tolerance_min=tolerance_min,
         tolerance_max=draw(st.integers(tolerance_min, tolerance_min + 10)),
         n0=draw(n0),
-        alpha=draw(ALPHAS),
+        alpha=draw(alpha),
         equal_split=draw(st.booleans()),
     )
 
@@ -120,6 +127,21 @@ def test_retention_step_equals_reference(params, econ, seed, iterations):
     assert state.productivity.tolist() == [p.productivity for p in ref_players]
     assert state.misses.tolist() == [p.consecutive_misses for p in ref_players]
     assert state.tolerance.tolist() == [p.tolerance for p in ref_players]
+
+
+# specs whose arrivals end within a few iterations and whose players churn
+# down to one, so a run spends most of its rows in the one-player tail
+FREEZING = retention_params(
+    n0=st.integers(0, 3),
+    alpha=st.floats(1.5, 4.0),
+    window=st.one_of(st.integers(1, 20), st.just(200)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=FREEZING, econ=ECON, seed=SEEDS, iterations=st.integers(1, 80))
+def test_retention_coast_equals_the_steps(params, econ, seed, iterations):
+    run_coast_against_steps(params, econ, seed, iterations)
 
 
 # shares for the scaling relation: 0 or normal, since a payout or reward

@@ -2,23 +2,28 @@
 
 The vectorized steps must reproduce the scalar reference runs of
 ``reference.py``: bit-exactly for the synthesis economy, and up to
-summation rounding for the retention economy's window totals.
+summation rounding for the retention economy's window totals. Where
+``retention.coast`` fills a repeat's one-player tail in place of the steps,
+it must match them bit for bit.
 """
 
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from gamefi_sim import retention, serverfi
-from gamefi_sim.core import EconParams, derive_stream
+from gamefi_sim.core import RECORD_FIELDS, EconParams, derive_stream
+from gamefi_sim.harness import ExperimentSpec, run_once
 from gamefi_sim.retention import RetentionParams
 from gamefi_sim.serverfi import ServerFiParams
 from reference import ServerFiPlayer, draws_for_contribution, expected_remaining_cost
 from reference import reference_retention_run, should_churn
-from reference import run_serverfi_against_reference, step_record, step_records
+from reference import run_coast_against_steps, run_serverfi_against_reference
+from reference import step_record, step_records
 
 
 def serverfi_digest(params, econ, seed, iterations):
@@ -538,3 +543,98 @@ class TestRetentionBitIdentity:
             assert (np.diff(state.ids) > 0).all()
             assert state.window_matrix.shape == (params.window, state.active_players)
         assert departures > 0
+
+
+# repeat 1 of this spec is down to one player after iteration 1 and coasts
+# from iteration 2; its ring totals overflow at iteration 13
+OVERFLOW_WITNESS = ExperimentSpec(
+    model="retention",
+    iterations=60,
+    repeats=4,
+    master_seed=2,
+    retention=RetentionParams(n0=1, alpha=2.0, equal_split=True),
+    econ=EconParams(productivity_init_mean=1e306, productivity_init_sigma=0.0, mutation_sigma=10.0),
+)
+
+
+class TestRetentionCoast:
+    def test_overflow_is_reported_at_its_iteration(self):
+        with pytest.raises(ValueError) as raised:
+            run_once(OVERFLOW_WITNESS, 1)
+        assert str(raised.value) == (
+            "repeat 1, iteration 13: a value overflows a float (overflow encountered in "
+            "reduce); lower the econ.productivity_* values"
+        )
+
+    def test_coast_stops_before_an_overflow_where_the_steps_are(self):
+        spec = OVERFLOW_WITNESS
+        coasted = retention.new_state(spec.retention, spec.econ)
+        stepped = retention.new_state(spec.retention, spec.econ)
+        coast_rng, step_rng = derive_stream(spec.master_seed, 1), derive_stream(spec.master_seed, 1)
+        rows = np.empty((spec.iterations, len(RECORD_FIELDS) + len(retention.COUNTERS)))
+        with np.errstate(over="raise", invalid="raise"):
+            _, rows[0] = retention.step(coasted, coast_rng)
+            assert retention.coast(coasted, coast_rng, rows[1:]) == 11
+            expected = [retention.step(stepped, step_rng)[1] for _ in range(12)]
+            assert rows[:12].tolist() == [list(map(float, row)) for row in expected]
+            assert coasted.iteration == stepped.iteration == 12
+            assert coasted.productivity.tobytes() == stepped.productivity.tobytes()
+            assert coasted.window_matrix.tobytes() == stepped.window_matrix.tobytes()
+            assert coasted.misses.tolist() == stepped.misses.tolist() == [0]
+            assert coast_rng.bit_generator.state == step_rng.bit_generator.state
+            # the coast declines the overflowing iteration, and its step raises
+            assert retention.coast(coasted, coast_rng, rows[12:]) == 0
+            with pytest.raises(FloatingPointError, match="overflow encountered in reduce"):
+                retention.step(coasted, coast_rng)
+
+    def test_empty_world_coasts_without_drawing(self):
+        params = RetentionParams(n0=0)
+        state = retention.new_state(params, EconParams())
+        rng = derive_stream(8, 0)
+        before = rng.bit_generator.state
+        rows = np.full((7, len(RECORD_FIELDS) + len(retention.COUNTERS)), np.nan)
+        assert retention.coast(state, rng, rows) == 7
+        assert state.iteration == 7
+        assert rng.bit_generator.state == before
+        assert rows.tolist() == [[i] + [0.0] * 7 for i in range(1, 8)]
+        assert run_coast_against_steps(params, EconParams(), 8, 30) == 29
+
+    @pytest.mark.parametrize("window", [8, 200])
+    @pytest.mark.parametrize("equal_split", [False, True])
+    @pytest.mark.parametrize(
+        "econ", [EconParams(), EconParams(productivity_floor=1.0, mutation_sigma=1.0)],
+        ids=["default", "binding_floor"],
+    )
+    def test_one_player_coasts_as_it_steps(self, window, equal_split, econ):
+        params = RetentionParams(n0=1, alpha=2.0, window=window, equal_split=equal_split)
+        assert run_coast_against_steps(params, econ, 5, 300) == 299
+
+    def test_two_players_do_not_coast(self):
+        # no cohort after the first, but two players: each row needs a step
+        state = retention.new_state(RetentionParams(n0=2, alpha=4.0), EconParams())
+        rng = derive_stream(0, 0)
+        retention.step(state, rng)
+        assert state.active_players == 2
+        before = rng.bit_generator.state
+        assert retention.coast(state, rng, np.empty((10, 8))) == 0
+        assert state.iteration == 1 and rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("window, coasts", [(2**14, True), (2**20, False)])
+    def test_coast_memory_stays_within_a_few_rings(self, window, coasts):
+        params = RetentionParams(n0=1, alpha=2.0, window=window)
+        state = retention.new_state(params, EconParams())
+        rng = derive_stream(3, 0)
+        retention.step(state, rng)
+        ring_bytes = state.buffer("window_matrix").nbytes
+        rows = np.empty((39, len(RECORD_FIELDS) + len(retention.COUNTERS)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            filled = retention.coast(state, rng, rows)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # a window over 2**14 is left to the steps
+        assert filled == (39 if coasts else 0)
+        assert peak <= 5 * ring_bytes
+        run_coast_against_steps(params, EconParams(), 3, 40)
