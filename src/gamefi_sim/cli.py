@@ -97,6 +97,12 @@ def _write_text(path: str, text: str) -> None:
         handle.write(text)
 
 
+def _temp_path(destination: str, index: int) -> str:
+    """The temp file, beside ``destination``, that output ``index`` is written to."""
+    folder, name = os.path.split(os.path.abspath(destination))
+    return os.path.join(folder, f".{name}.{os.getpid()}.{index}.tmp")
+
+
 def _write_outputs(outputs: List[Tuple[str, Callable[[str], None]]]) -> None:
     """Write each ``(destination, write)`` output whole, or leave none.
 
@@ -110,8 +116,7 @@ def _write_outputs(outputs: List[Tuple[str, Callable[[str], None]]]) -> None:
     destination = ""
     try:
         for index, (destination, write) in enumerate(outputs):
-            folder, name = os.path.split(os.path.abspath(destination))
-            temps.append(os.path.join(folder, f".{name}.{os.getpid()}.{index}.tmp"))
+            temps.append(_temp_path(destination, index))
             write(temps[-1])
         for temp, (destination, _) in zip(temps, outputs):
             os.replace(temp, destination)
@@ -154,16 +159,19 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     if args.report is not None and os.path.realpath(args.report) == os.path.realpath(args.out):
         # the second rename would replace the first output
         raise ConfigError("--report must name a different file than --out")
-    for flag, path in (("--out", args.out), ("--report", args.report)):
+    for index, (flag, path) in enumerate((("--out", args.out), ("--report", args.report))):
         if path is None:
             continue
         # its rename would put a regular file in place of it, or of the link to it
         if _file_type(path) in (stat.S_IFIFO, stat.S_IFSOCK, stat.S_IFCHR, stat.S_IFBLK):
             raise ConfigError(f"{flag} names {path}, which is a FIFO, socket or device")
-        # a missing directory, or a directory (not a link to one) there, fails only after the run
+        # a directory that is missing or refuses the temp file, or a directory
+        # (not a link to one) there, fails only after the run
         with _io_failure("cannot write output"):
+            temp = _temp_path(path, index)
             try:
-                os.stat(os.path.join(os.path.dirname(os.path.abspath(path)), ""))
+                os.close(os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+                os.remove(temp)
             except OSError as exc:
                 raise OSError(exc.errno, exc.strerror, path) from exc
             if _file_type(path, follow_symlinks=False) == stat.S_IFDIR:

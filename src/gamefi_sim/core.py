@@ -176,6 +176,12 @@ class Population:
         return ("ids", "productivity") + self.COLUMNS
 
     @property
+    def bytes_per_player(self) -> int:
+        """Bytes the store may allocate per player: STORE_FACTOR entries of each column."""
+        columns = (getattr(self, name) for name in self._names())
+        return STORE_FACTOR * sum(math.prod(c.shape[:-1]) * c.itemsize for c in columns)
+
+    @property
     def nbytes(self) -> int:
         """Bytes held by the backing and spare buffers of every column."""
         return sum(b.nbytes for b in (*self._buffers.values(), *self._spares.values()))

@@ -19,25 +19,21 @@ from . import retention, serverfi
 from .core import (
     MAX_SEED,
     RECORD_FIELDS,
-    STORE_FACTOR,
     EconParams,
     RepeatRecords,
     derive_stream,
 )
 
-# model modules: new_state(params, econ), state_columns(params), with params
-# the ExperimentSpec field of that name, COUNTERS, step(state, rng), which
-# returns the state and a tuple of RECORD_FIELDS + COUNTERS values, and
-# coast(state, rng, rows), which fills the leading rows of the table view
-# rows exactly as the next steps would, leaving the state and stream where
-# they would, and returns how many it filled (0 when a row needs a step)
+# model modules: new_state(params, econ), with params the ExperimentSpec field
+# of that name, COUNTERS, step(state, rng), which returns the state and a tuple
+# of RECORD_FIELDS + COUNTERS values, and coast(state, rng, rows), which fills
+# the leading rows of the table view rows exactly as the next steps would,
+# leaving the state and stream where they would, and returns how many it
+# filled (0 when a row needs a step)
 MODELS = {"serverfi": serverfi, "retention": retention}
 
-# Run budget, checked before simulating. MAX_STATE_BYTES bounds what the
-# population's column store may allocate (the step's temporaries take a few
-# times its live columns); MAX_RECORDS bounds the iteration x repeat rows of
-# the RepeatRecords tables an experiment holds, 8 bytes per column each (13
-# columns for serverfi, 8 for retention: at most 104 MiB).
+# Run budget, checked before simulating: what the population's column store
+# may allocate, and the RepeatRecords rows (at most 104 MiB of tables).
 MAX_STATE_BYTES = 2**30
 MAX_RECORDS = 2**20
 
@@ -103,12 +99,8 @@ def _check_budget(spec: ExperimentSpec) -> None:
     """Refuse a run whose state or records would exceed the run budget.
 
     Cohorts shrink geometrically, so at most ``n0 * min(iterations,
-    ceil(alpha / (alpha - 1)))`` players ever join. Each holds 8 bytes per
-    state column, ``state_columns(params)`` of them, and the column store
-    allocates up to ``STORE_FACTOR`` (4) times that per player: buffers
-    grown by doubling, plus the spare buffer it compacts into. The budget
-    counts at least one player, so an oversized ring is refused even with
-    no arrivals.
+    ceil(alpha / (alpha - 1)))`` players ever join. At least one player is
+    counted, so an oversized ring is refused even with no arrivals.
     """
     if spec.iterations * spec.repeats > MAX_RECORDS:
         raise ValueError(
@@ -116,7 +108,13 @@ def _check_budget(spec: ExperimentSpec) -> None:
             f"is more than {MAX_RECORDS} records"
         )
     params = getattr(spec, spec.model)
-    player_bytes = STORE_FACTOR * 8 * MODELS[spec.model].state_columns(params)
+    try:
+        player_bytes = MODELS[spec.model].new_state(params, spec.econ).bytes_per_player
+    except ValueError:
+        # numpy shapes no column of 2**63 bytes or more, even an empty one
+        raise ValueError(
+            f"run budget exceeded: one {spec.model} player's state is too large for an array"
+        ) from None
     cohorts = min(spec.iterations, math.ceil(params.alpha / (params.alpha - 1)))
     players = max(params.n0 * cohorts, 1)
     if players * player_bytes > MAX_STATE_BYTES:

@@ -135,11 +135,6 @@ def new_state(params: RetentionParams, econ: EconParams) -> RetentionState:
     return RetentionState(params, econ, window_matrix=np.zeros((params.window, 0)))
 
 
-def state_columns(params: RetentionParams) -> int:
-    """8-byte state entries per player: ids, productivity, tolerance, misses, the window."""
-    return params.window + 4
-
-
 def step(state: RetentionState, rng: np.random.Generator) -> Tuple[RetentionState, Tuple]:
     """Advance the world by one iteration, mutating ``state`` in place.
 

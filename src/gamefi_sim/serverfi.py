@@ -77,8 +77,16 @@ class ServerFiParams:
 
 
 def harmonic(n: int) -> float:
-    """H_n = sum_{i=1..n} 1/i, with H_0 = 0."""
-    return sum(1.0 / i for i in range(1, n + 1))
+    """H_n = sum_{i=1..n} 1/i, with H_0 = 0, added left to right.
+
+    Not by the builtin ``sum``, which compensates float sums from Python
+    3.12 on: H_8 would differ by one ulp, and a tie in the entry gate or
+    the churn test could flip with the interpreter.
+    """
+    total = 0.0
+    for i in range(1, n + 1):
+        total += 1.0 / i
+    return total
 
 
 def draw_fragments(rng: np.random.Generator, num_draws: int, k: int) -> np.ndarray:
@@ -172,11 +180,6 @@ class ServerFiState(Population):
 
 def new_state(params: ServerFiParams, econ: EconParams) -> ServerFiState:
     return ServerFiState(params, econ, by_type=np.zeros((params.k, 0), dtype=np.int64))
-
-
-def state_columns(params: ServerFiParams) -> int:
-    """8-byte state entries per player: ids, productivity, credit, staked, k counts."""
-    return params.k + 4
 
 
 def step(state: ServerFiState, rng: np.random.Generator) -> Tuple[ServerFiState, Tuple]:

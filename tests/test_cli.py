@@ -1,6 +1,7 @@
 """Command-line interface tests: subcommands, exit codes, overrides."""
 
 import dataclasses
+import errno
 import json
 import os
 import stat
@@ -350,6 +351,37 @@ class TestAtomicOutputs:
             f"error: cannot write output: [Errno 2] No such file or directory: '{missing}'"
         ]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize("flag", ["--out", "--report"])
+    def test_output_in_an_unwritable_directory_exits_two_before_simulating(
+        self, config_path, tmp_path, capsys, monkeypatch, flag
+    ):
+        # root writes through file modes, so the directory refuses the
+        # creation of every file in it instead
+        def run_experiment(*args, **kwargs):
+            raise AssertionError("simulated before checking the output directory")
+
+        locked = tmp_path / "locked"
+        locked.mkdir()
+        create = os.open
+
+        def refuse_in_locked(path, flags, *args, **kwargs):
+            if os.path.dirname(path) == str(locked):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+            return create(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_experiment", run_experiment)
+        monkeypatch.setattr(os, "open", refuse_in_locked)
+        paths = {"--out": tmp_path / "run.csv", "--report": tmp_path / "report.json"}
+        paths[flag] = locked / "output"
+        assert simulate_with_report(config_path, paths["--out"], paths["--report"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: cannot write output: [Errno 13] Permission denied: '{paths[flag]}'"
+        ]
+        assert list(locked.iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "locked"]
 
     @pytest.mark.parametrize("flag", ["--out", "--report"])
     def test_output_naming_a_directory_exits_two_before_simulating(

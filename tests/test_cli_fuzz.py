@@ -3,7 +3,9 @@
 Hypothesis builds config documents (valid, invalid, mistyped, non-finite,
 malformed JSON) and flag sets. Every call must return 0, 1 or 2, raise
 nothing, warn nothing and, on failure, print exactly one ``error:`` line and
-leave no output or temp file behind.
+leave no output or temp file behind. A run that ends in an interrupt, a
+dead pool worker or a MemoryError must give that failure's exit code (130,
+3, 1) and its one ``error:`` line, and leave nothing behind either.
 
 Values that set how much work a run does stay small, so the property runs
 in seconds, but some of them also take huge values. Huge ``n0``,
@@ -32,6 +34,8 @@ import math
 import os
 import tempfile
 import warnings
+from concurrent.futures.process import BrokenProcessPool
+from unittest import mock
 
 import pytest
 
@@ -39,6 +43,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from gamefi_sim import cli  # noqa: E402
 from gamefi_sim.analysis import CSV_HEADER  # noqa: E402
 from gamefi_sim.cli import cli_main  # noqa: E402
 
@@ -182,6 +187,70 @@ def test_simulate_exits_cleanly_and_never_leaves_partial_output(
         left = sorted(os.listdir(root))
     outputs = ["run.csv"] + (["report.json"] if report else [])
     assert_exits_cleanly(code, err, left, ["config.json"], outputs)
+
+
+# small valid documents, so that many drawn calls reach the run
+RUNNABLE = st.builds(
+    lambda model, iterations, repeats: json.dumps(
+        {"model": model, "iterations": iterations, "repeats": repeats}
+    ),
+    st.sampled_from(["serverfi", "retention"]),
+    st.integers(10, 20),  # --report needs 10
+    st.integers(1, 3),
+)
+# ways a run can end other than with a result: the exception, its arguments,
+# the documented exit code and the one line it prints
+RUN_FAILURES = [
+    (KeyboardInterrupt, (), 130, "error: interrupted"),
+    (BrokenProcessPool, ("a worker was killed",), 3,
+     "error: a worker process died: a worker was killed"),
+    (MemoryError, (), 1, "error: out of memory"),
+    (MemoryError, ("Unable to allocate 8.00 GiB for an array",), 1,
+     "error: out of memory: Unable to allocate 8.00 GiB for an array"),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@example(
+    document=json.dumps({"model": "retention", "iterations": 12, "repeats": 2}),
+    extra=["--workers", "2"],
+    report=True,
+    failure=RUN_FAILURES[0],
+)
+@given(
+    document=st.one_of(RUNNABLE, documents()),
+    extra=st.one_of(st.just([]), flags()),
+    report=st.booleans(),
+    failure=st.sampled_from(RUN_FAILURES),
+)
+def test_a_failed_run_exits_with_its_documented_code_and_leaves_nothing(
+    document, extra, report, failure
+):
+    kind, args, expected_code, line = failure
+    started = []
+
+    def run_experiment(spec, workers=1):
+        started.append(spec)
+        raise kind(*args)
+
+    with tempfile.TemporaryDirectory() as root, mock.patch.object(
+        cli, "run_experiment", run_experiment
+    ):
+        config = os.path.join(root, "config.json")
+        with open(config, "w", encoding="utf-8") as handle:
+            handle.write(document)
+        argv = ["simulate", "--config", config, "--out", os.path.join(root, "run.csv")]
+        if report:
+            argv += ["--report", os.path.join(root, "report.json")]
+        code, out, err = call(argv + extra)
+        left = sorted(os.listdir(root))
+    if started:
+        assert (code, out, err) == (expected_code, "", line + "\n")
+        assert left == ["config.json"]
+    else:
+        # refused before the run
+        assert code in (1, 2)
+        assert_exits_cleanly(code, err, left, ["config.json"], [])
 
 
 def call(argv):

@@ -118,6 +118,15 @@ class TestValidateSpec:
         with pytest.raises(ValueError, match="run budget exceeded"):
             validate_spec(dataclasses.replace(spec, serverfi=ServerFiParams(n0=10**7, alpha=1.5, k=1)))
 
+    @pytest.mark.parametrize("window", [2**60, 2**63])
+    def test_budget_refuses_a_ring_too_large_for_an_array(self, window):
+        spec = dict(model="retention", retention=RetentionParams(n0=0, window=window))
+        with pytest.raises(ValueError) as refused:
+            ExperimentSpec(**spec)
+        assert str(refused.value) == (
+            "run budget exceeded: one retention player's state is too large for an array"
+        )
+
     def test_budget_counts_what_the_store_allocates(self):
         # k=1: 40 bytes of columns per player, up to 4 x 40 allocated, so
         # 6e6 players (960 MB) fit and 9e6 (1.44 GB) do not, although their
@@ -149,8 +158,8 @@ class TestValidateSpec:
             record = step_record(module, module.step(state, rng)[1])
             peak = max(peak, record.active_players)
             departures += record.departures
-            assert state.nbytes <= STORE_FACTOR * 8 * module.state_columns(params) * peak
-        assert departures > 0 and state.nbytes > 8 * module.state_columns(params) * peak
+            assert state.nbytes <= state.bytes_per_player * peak
+        assert departures > 0 and state.nbytes > state.bytes_per_player // STORE_FACTOR * peak
 
 
 class TestModelRegistry:
@@ -168,7 +177,8 @@ class TestModelRegistry:
         columns = [value for value in vars(state).values() if isinstance(value, np.ndarray)]
         assert n > 0
         assert all(column.itemsize == 8 for column in columns)
-        assert sum(column.size for column in columns) == module.state_columns(params) * n
+        per_player = state.bytes_per_player // (STORE_FACTOR * 8)
+        assert sum(column.size for column in columns) == per_player * n
 
     def test_run_once_looks_up_the_step_at_call_time(self, monkeypatch):
         calls = []

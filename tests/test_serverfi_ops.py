@@ -126,6 +126,15 @@ class TestExpectedCosts:
         assert harmonic(1) == 1.0
         assert harmonic(4) == pytest.approx(25.0 / 12.0)
 
+    @pytest.mark.parametrize(
+        "k, bits",
+        [(4, "0x1.0aaaaaaaaaaaap+1"), (8, "0x1.5be2be2be2be2p+1"), (64, "0x1.2f9be897cd527p+2")],
+    )
+    def test_harmonic_adds_left_to_right_on_every_python(self, k, bits):
+        # the builtin sum compensates float sums from Python 3.12 on, which
+        # gives 0x1.5be2be2be2be3p+1 for k = 8
+        assert harmonic(k).hex() == bits
+
     def test_monte_carlo_agreement_small_k(self):
         # brute-force the expected draw count for k=3 and compare to 3*H_3
         rng = derive_stream(16, 0)
