@@ -9,10 +9,11 @@ multiplicative mutation step.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field, fields
-from typing import Any, ClassVar, Dict, Iterator, List, Sequence, Tuple, get_type_hints
+from typing import Any, Callable, ClassVar, Dict, Iterator, List, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
@@ -267,6 +268,30 @@ def derive_stream(master_seed: int, repeat_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
+def _complex_exp(values: np.ndarray) -> np.ndarray:
+    """Replace each value by the real part of numpy's complex exp of it, in place."""
+    values[...] = np.exp(values, dtype=np.complex128).real
+    return values
+
+
+def exp_matches_libm(exp: Callable[[np.ndarray], np.ndarray]) -> bool:
+    """Whether ``exp`` of an array has the bits of ``math.exp`` at 4096 points.
+
+    The points are evenly spaced over [-745, 708]: from exponentials that
+    underflow to a subnormal up to the largest a cohort exponentiates as
+    one array (see :func:`init_productivity_batch`).
+    """
+    points = np.linspace(-745.0, 708.0, 4096)
+    expected = np.fromiter(map(math.exp, points.tolist()), dtype=np.float64, count=len(points))
+    return exp(points).tobytes() == expected.tobytes()
+
+
+@functools.lru_cache(maxsize=None)
+def complex_exp_is_libm() -> bool:
+    """:func:`exp_matches_libm` of the complex exp, computed once per process."""
+    return exp_matches_libm(_complex_exp)
+
+
 def init_productivity_batch(
     rng: np.random.Generator, n: int, params: EconParams
 ) -> np.ndarray:
@@ -294,10 +319,12 @@ def init_productivity_batch(
     per element instead; there an exponential that overflows a float
     raises a ValueError naming ``econ.productivity_init_sigma``. Results
     that underflow to a subnormal or to 0.0 are the same on both paths.
+    Every cohort takes the per-element path on a platform where
+    :func:`complex_exp_is_libm` finds the two exponentials apart.
     """
     values = rng.standard_normal(n)
     values *= params.productivity_init_sigma
-    if n and values.max() > 708.0:
+    if n and (values.max() > 708.0 or not complex_exp_is_libm()):
         try:
             values = np.fromiter(map(math.exp, values.tolist()), dtype=np.float64, count=n)
         except OverflowError:
@@ -306,7 +333,7 @@ def init_productivity_batch(
                 "an entry productivity exp(sigma * z) overflows a float"
             ) from None
     else:
-        values[...] = np.exp(values, dtype=np.complex128).real
+        _complex_exp(values)
     values *= params.productivity_init_mean
     return np.maximum(values, params.productivity_floor, out=values)
 

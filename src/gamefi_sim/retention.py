@@ -83,24 +83,30 @@ def _ring_totals(ring: np.ndarray) -> np.ndarray:
 
 
 def _top_winners(totals: np.ndarray, count: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Mask of the ``count`` highest totals (ties to the lower index), and their values best first.
+    """Mask of the players outside the top ``count`` totals, and those totals negated, best first.
 
     With ``ref = np.lexsort((np.arange(len(totals)), -totals))[:count]``
-    the mask marks the indices in ``ref``. One sort of the negated totals
-    gives the values; on positive totals they equal ``totals[ref]`` bit for
-    bit, since equal non-zero floats have equal bits, so the order within a
-    tie does not show. The ``count``-th sorted value is the threshold: the
-    winners are the totals above it plus the lowest-index totals tied at it.
+    the mask marks every index not in ``ref`` (ties go to the lower
+    index). A selection (``ndarray.partition``, numpy's introselect) moves
+    the ``count`` smallest negated totals to the front, and only those are
+    sorted; on positive totals they equal ``-totals[ref]`` bit for bit,
+    since equal non-zero floats have equal bits, so the order within a tie
+    does not show. The last of them is the threshold: the losers are the
+    totals below it, plus the tied totals past the first ``count - above``,
+    where ``above`` counts the totals above it.
     """
     ranked = -totals
-    ranked.sort()
-    threshold = ranked[count - 1]
-    winners = totals >= -threshold
-    if count < len(totals) and ranked[count] == threshold:
+    if count < len(totals):
+        ranked.partition(count - 1)
+    top = ranked[:count]
+    top.sort()
+    threshold = top[-1]
+    losers = totals < -threshold
+    if len(totals) - np.count_nonzero(losers) > count:
         # the cut splits a tie: only its first count - above members win
-        above = int(np.searchsorted(ranked, threshold))
-        winners[np.flatnonzero(totals == -threshold)[count - above:]] = False
-    return winners, -ranked[:count]
+        above = int(np.searchsorted(top, threshold))
+        losers[np.flatnonzero(totals == -threshold)[count - above:]] = True
+    return losers, top
 
 
 # The counters a step's row holds after core.RECORD_FIELDS: this iteration's
@@ -146,11 +152,11 @@ def step(state: RetentionState, rng: np.random.Generator) -> Tuple[RetentionStat
     the iteration's row: the ``core.RECORD_FIELDS``, then the :data:`COUNTERS`.
 
     Ranking orders by window total, highest first, with ties to the lower
-    id. One sort of the negated totals gives the winning threshold and the
-    winners' totals in rank order, which the payout sums run over; the
-    winners are the players above the threshold plus the lowest-index
-    players tied at it. Index order is id order because ``state.ids`` is
-    strictly increasing (see :class:`~gamefi_sim.core.Population`).
+    id: :func:`_top_winners` selects the winners, and the payout sums run
+    over their negated totals in rank order. Every miss streak grows by
+    one and is multiplied by the losers' mask, which resets the winners'.
+    Index order is id order because ``state.ids`` is strictly increasing
+    (see :class:`~gamefi_sim.core.Population`).
     """
     p = state.params
     econ = state.econ
@@ -179,18 +185,19 @@ def step(state: RetentionState, rng: np.random.Generator) -> Tuple[RetentionStat
         totals = _ring_totals(state.window_matrix)
         window_total_sum = float(totals.sum())
         winner_count = max(1, int(math.floor(p.top_fraction * n)))
-        winners, winner_totals = _top_winners(totals, winner_count)
+        losers, top = _top_winners(totals, winner_count)
         pool = p.pool_share * window_total_sum
         if p.equal_split:
             amounts = np.full(winner_count, pool / winner_count)
         else:
-            # no zero-sum case: each player's current entry is >= productivity_floor > 0
-            amounts = pool * winner_totals / float(winner_totals.sum())
+            # no zero-sum case: each player's current entry is >= productivity_floor > 0;
+            # negation is exact, so (-a) / (-b) has the bits of a / b
+            amounts = pool * top / float(top.sum())
         payout_total = float(amounts.sum())
 
         # (4) misses and churn
         state.misses += 1
-        state.misses[winners] = 0
+        state.misses *= losers
         stay = state.misses <= state.tolerance
         departures = n - int(np.count_nonzero(stay))
         if departures:

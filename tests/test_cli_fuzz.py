@@ -15,6 +15,12 @@ exit 1 on the draws limit or a float overflow. Only ``mutation_sigma`` and
 ``--workers`` stay small-only. Every other field also gets huge and
 non-finite values.
 
+So that many calls reach the run, the documents are as often small valid
+ones, and as often ones at the run-time limits: a serverfi cohort over the
+draws limit, or entry productivity near the float maximum. Each example
+records how its call ended with ``hypothesis.event``; pytest's
+``--hypothesis-show-statistics`` prints the shares.
+
 A serverfi run at default ``k`` and ``lambda`` first mints at about
 iteration 12, and only after a mint do the entry gate and the churn test
 multiply by ``payoff_horizon``. So ``k`` is often 1 and ``lambda`` often
@@ -40,12 +46,13 @@ from unittest import mock
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import event, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from gamefi_sim import cli  # noqa: E402
 from gamefi_sim.analysis import CSV_HEADER  # noqa: E402
 from gamefi_sim.cli import cli_main  # noqa: E402
+from gamefi_sim.serverfi import MAX_DRAWS_PER_ITERATION  # noqa: E402
 
 BAD_SCALARS = st.one_of(
     st.none(),
@@ -156,6 +163,68 @@ def flags(draw):
     return [part for flag, value in values.items() for part in (flag, value)]
 
 
+# small valid documents, so that many drawn calls reach the run
+RUNNABLE = st.builds(
+    lambda model, iterations, repeats: json.dumps(
+        {"model": model, "iterations": iterations, "repeats": repeats}
+    ),
+    st.sampled_from(["serverfi", "retention"]),
+    st.integers(10, 20),  # --report needs 10
+    st.integers(1, 3),
+)
+
+
+@st.composite
+def at_the_limits(draw):
+    """A small valid document whose run may end in one of the run-time refusals.
+
+    Either serverfi's first cohort needs 1.01 to 4 times the draws limit
+    (an entry sigma of 0 makes that count exact, and a run just below the
+    limit would make 2**24 draws per iteration), or every entry productivity
+    is near the float maximum, so a run overflows in a step or in the mean
+    across repeats, or finishes.
+    """
+    n0 = draw(st.integers(1, 60))
+    if draw(st.booleans()):
+        lam = draw(st.floats(1.001, 20))
+        mean = MAX_DRAWS_PER_ITERATION * lam / n0 * draw(st.floats(1.01, 4))
+        doc = {
+            "model": "serverfi",
+            "serverfi": {"n0": n0, "lambda": lam},
+            "econ": {"productivity_init_mean": mean, "productivity_init_sigma": 0.0},
+        }
+    else:
+        model = draw(st.sampled_from(["serverfi", "retention"]))
+        doc = {
+            "model": model,
+            model: {"n0": n0},
+            "econ": {
+                "productivity_init_mean": draw(st.floats(1e300, 1.7976931348623157e308)),
+                "productivity_init_sigma": draw(st.sampled_from([0.0, 0.01, 0.5])),
+            },
+        }
+    doc["iterations"] = draw(st.integers(10, 12))  # --report needs 10
+    doc["repeats"] = draw(st.integers(1, 3))
+    return json.dumps(doc)
+
+
+# how a simulate call ended, by its exit code and message, for hypothesis.event
+OUTCOMES = [
+    ("usage: ", "usage error"),
+    ("run budget exceeded", "run budget"),
+    ("invalid JSON", "invalid JSON"),
+    ("lottery draws", "draws limit (run time)"),
+    ("overflows a float", "float overflow (run time)"),
+]
+
+
+def outcome(code, err):
+    if code == 0:
+        return "ran"
+    kind = next((kind for text, kind in OUTCOMES if text in err), "other validation")
+    return "I/O error" if code == 2 else kind
+
+
 @settings(max_examples=200, deadline=None)
 @example(
     document=json.dumps({
@@ -167,8 +236,8 @@ def flags(draw):
     out_dir="",
 )
 @given(
-    document=documents(),
-    extra=flags(),
+    document=st.one_of(documents(), RUNNABLE, at_the_limits()),
+    extra=st.one_of(st.just([]), flags()),
     report=st.booleans(),
     out_dir=st.sampled_from(["", "missing"]),
 )
@@ -185,19 +254,11 @@ def test_simulate_exits_cleanly_and_never_leaves_partial_output(
             argv += ["--report", os.path.join(root, "report.json")]
         code, _, err = call(argv)
         left = sorted(os.listdir(root))
+    event(outcome(code, err))
     outputs = ["run.csv"] + (["report.json"] if report else [])
     assert_exits_cleanly(code, err, left, ["config.json"], outputs)
 
 
-# small valid documents, so that many drawn calls reach the run
-RUNNABLE = st.builds(
-    lambda model, iterations, repeats: json.dumps(
-        {"model": model, "iterations": iterations, "repeats": repeats}
-    ),
-    st.sampled_from(["serverfi", "retention"]),
-    st.integers(10, 20),  # --report needs 10
-    st.integers(1, 3),
-)
 # ways a run can end other than with a result: the exception, its arguments,
 # the documented exit code and the one line it prints
 RUN_FAILURES = [

@@ -4,15 +4,19 @@ import math
 import subprocess
 import sys
 from dataclasses import dataclass, field
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from gamefi_sim import core
 from gamefi_sim.core import (
     EconParams,
     Population,
     cohort_size,
+    complex_exp_is_libm,
     derive_stream,
+    exp_matches_libm,
     init_productivity_batch,
     mutate_productivity_batch,
 )
@@ -323,6 +327,43 @@ class TestInitProductivityExpPaths:
         values = np.array([0.0, -3.0, 709.79, 1.0])
         with pytest.raises(ValueError, match=r"econ\.productivity_init_sigma"):
             self.batch(values)
+
+    def test_cohort_up_to_708_matches_the_scalar_rule_when_the_probe_finds_a_mismatch(self):
+        values = np.concatenate([[-746.0, -740.0, -0.0, 708.0], np.linspace(-746.0, 708.0, 5_001)])
+        with mock.patch.object(core, "complex_exp_is_libm", return_value=False) as verdict:
+            batch = self.batch(values)
+        assert verdict.called
+        assert batch.tolist() == self.scalar_rule(values)
+
+
+def libm_exp(values):
+    return np.fromiter(map(math.exp, values.tolist()), dtype=np.float64, count=len(values))
+
+
+class TestExpProbe:
+    """``exp_matches_libm`` tells libm's exp from one a single ulp away."""
+
+    def test_libm_exp_matches(self):
+        assert exp_matches_libm(libm_exp)
+
+    @pytest.mark.parametrize("point", [0, 1234, 4095])
+    def test_one_ulp_at_one_point_is_a_mismatch(self, point):
+        def nudged(values):
+            out = libm_exp(values)
+            out[point] = np.nextafter(out[point], np.inf)
+            return out
+
+        assert not exp_matches_libm(nudged)
+
+    def test_verdict_is_computed_once_per_process(self):
+        complex_exp_is_libm.cache_clear()
+        try:
+            with mock.patch.object(core, "exp_matches_libm", return_value=True) as probe:
+                for seed in range(3):
+                    init_productivity_batch(derive_stream(seed, 0), 10, EconParams())
+            assert probe.call_count == 1
+        finally:
+            complex_exp_is_libm.cache_clear()
 
 
 class TestMutateProductivity:

@@ -20,6 +20,11 @@ Coasting: on specs that shrink to one player, a retention run by its steps
 and ``retention.coast`` equals the run by its steps alone, bit for bit, in
 every row, every final column and the next stream value.
 
+Ranking: over drawn totals with heavy ties, ``retention._top_winners``
+picks the winners and their totals of a full ``np.lexsort`` ranking, ties
+to the lower index, including a tie that straddles the cut and a count of
+every player.
+
 Representation: after every serverfi step, ``staked`` is the per-player
 minimum of the cumulative ``by_type`` counts, every player's inventory
 lacks some type, and the recorded totals match the columns.
@@ -30,7 +35,8 @@ import dataclasses
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+import numpy as np  # noqa: E402
+from hypothesis import event, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from gamefi_sim import retention, serverfi  # noqa: E402
@@ -142,6 +148,41 @@ FREEZING = retention_params(
 @given(params=FREEZING, econ=ECON, seed=SEEDS, iterations=st.integers(1, 80))
 def test_retention_coast_equals_the_steps(params, econ, seed, iterations):
     run_coast_against_steps(params, econ, seed, iterations)
+
+
+# four values each: one with a -0.0 beside 0.0, one of positive totals
+TIE_ALPHABETS = ([0.0, -0.0, 1.5, 3.25], [0.25, 1.5, 3.25, 7.0])
+
+
+@st.composite
+def tied_totals(draw):
+    """Totals of n in [1, 3000] players over a 4-value alphabet, and a count in [1, n]."""
+    n = draw(st.integers(1, 3000))
+    count = draw(st.integers(1, n))
+    alphabet = np.array(draw(st.sampled_from(TIE_ALPHABETS)))
+    weights = np.array(draw(st.lists(st.integers(1, 8), min_size=4, max_size=4)), dtype=float)
+    rng = np.random.default_rng(draw(SEEDS))
+    return alphabet[rng.choice(4, n, p=weights / weights.sum())], count
+
+
+@settings(max_examples=200, deadline=None)
+# a tie straddles the cut: four equal totals, two win
+@example(case=(np.full(4, 1.5), 2))
+# everyone wins
+@example(case=(np.array([3.25, 1.5, 3.25, 0.25]), 4))
+@given(case=tied_totals())
+def test_top_winners_equal_full_lexsort(case):
+    totals, count = case
+    expected = np.lexsort((np.arange(len(totals)), -totals))[:count]
+    losers, top = retention._top_winners(totals, count)
+    cut = -top[-1]
+    straddles = np.count_nonzero(totals == cut) > np.count_nonzero(totals[expected] == cut)
+    event("tie straddles the cut" if straddles else "no tie at the cut")
+    event("count == n" if count == len(totals) else "count < n")
+    assert np.flatnonzero(~losers).tolist() == sorted(expected.tolist())
+    assert (-top).tolist() == totals[expected].tolist()
+    if not np.signbit(totals).any():
+        assert (-top).tobytes() == totals[expected].tobytes()
 
 
 # shares for the scaling relation: 0 or normal, since a payout or reward

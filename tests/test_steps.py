@@ -11,11 +11,12 @@ import hashlib
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from gamefi_sim import retention, serverfi
+from gamefi_sim import core, retention, serverfi
 from gamefi_sim.core import RECORD_FIELDS, EconParams, derive_stream
 from gamefi_sim.harness import ExperimentSpec, run_once
 from gamefi_sim.retention import RetentionParams
@@ -498,21 +499,21 @@ class TestRetentionBitIdentity:
         for count in sorted({1, max(1, n // 5), max(1, n // 2), n}):
             for totals in (signed_zero, positive):
                 expected = np.lexsort((rows, -totals))[:count]
-                winners, winner_totals = retention._top_winners(totals, count)
-                assert np.flatnonzero(winners).tolist() == sorted(expected.tolist())
+                losers, top = retention._top_winners(totals, count)
+                assert np.flatnonzero(~losers).tolist() == sorted(expected.tolist())
                 # equal values; on positive totals equal bits as well
-                assert winner_totals.tolist() == totals[expected].tolist()
+                assert (-top).tolist() == totals[expected].tolist()
                 if totals is positive:
-                    assert winner_totals.tobytes() == totals[expected].tobytes()
+                    assert (-top).tobytes() == totals[expected].tobytes()
 
     def test_top_indices_equal_full_lexsort_on_distinct_totals(self):
         rng = np.random.default_rng(5)
         totals = rng.lognormal(size=5_000)
         for count in (1, 1_000, 2_500, 5_000):
             expected = np.lexsort((np.arange(5_000), -totals))[:count]
-            winners, winner_totals = retention._top_winners(totals, count)
-            assert np.flatnonzero(winners).tolist() == sorted(expected.tolist())
-            assert winner_totals.tobytes() == totals[expected].tobytes()
+            losers, top = retention._top_winners(totals, count)
+            assert np.flatnonzero(~losers).tolist() == sorted(expected.tolist())
+            assert (-top).tobytes() == totals[expected].tobytes()
 
     def test_ring_totals_equal_row_major_sum_for_every_window(self):
         rng = np.random.default_rng(11)
@@ -638,3 +639,24 @@ class TestRetentionCoast:
         assert filled == (39 if coasts else 0)
         assert peak <= 5 * ring_bytes
         run_coast_against_steps(params, EconParams(), 3, 40)
+
+
+# Every frozen run again with the exp probe's verdict patched to a mismatch,
+# so each cohort is exponentiated by math.exp per element: the digests were
+# frozen on the complex exp path, and the two paths must give the same bits.
+FROZEN_MODELS = {
+    "serverfi": (serverfi_digest, ServerFiParams, FROZEN_SERVERFI_RUNS),
+    "retention": (retention_digest, RetentionParams, FROZEN_RETENTION_RUNS),
+}
+
+
+@pytest.mark.parametrize(
+    "model, case",
+    [(model, case) for model, (_, _, runs) in FROZEN_MODELS.items() for case in sorted(runs)],
+)
+def test_frozen_digests_hold_on_the_per_element_exp_path(model, case):
+    digest, params_type, runs = FROZEN_MODELS[model]
+    params, econ, seed, iterations, expected = runs[case]
+    with mock.patch.object(core, "complex_exp_is_libm", return_value=False) as verdict:
+        assert digest(params_type(**params), EconParams(**econ), seed, iterations) == expected
+    assert verdict.called
