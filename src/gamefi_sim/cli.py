@@ -156,29 +156,32 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
         raise ConfigError(
             f"--report requires at least {MIN_TREND_LENGTH} iterations, got {spec.iterations}"
         )
-    if args.report is not None and os.path.realpath(args.report) == os.path.realpath(args.out):
-        # the second rename would replace the first output
-        raise ConfigError("--report must name a different file than --out")
     for index, (flag, path) in enumerate((("--out", args.out), ("--report", args.report))):
         if path is None:
             continue
         # its rename would put a regular file in place of it, or of the link to it
         if _file_type(path) in (stat.S_IFIFO, stat.S_IFSOCK, stat.S_IFCHR, stat.S_IFBLK):
             raise ConfigError(f"{flag} names {path}, which is a FIFO, socket or device")
-        # a directory that is missing or refuses the temp file, or a directory
-        # (not a link to one) there, fails only after the run
+        # refused before the run: an empty path, a directory (not a link to
+        # one), and a directory that is missing or refuses the temp file; the
+        # probe comes last, as for "" or "." it would go in the parent directory
         with _io_failure("cannot write output"):
+            if not path:
+                raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+            if _file_type(path, follow_symlinks=False) == stat.S_IFDIR:
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            # a trailing separator names a directory, which the rename cannot create
+            if path.endswith(tuple(filter(None, (os.sep, os.altsep)))):
+                raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
             temp = _temp_path(path, index)
             try:
                 os.close(os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
                 os.remove(temp)
             except OSError as exc:
                 raise OSError(exc.errno, exc.strerror, path) from exc
-            if _file_type(path, follow_symlinks=False) == stat.S_IFDIR:
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-            # a trailing separator names a directory, which the rename cannot create
-            if path.endswith(tuple(filter(None, (os.sep, os.altsep)))):
-                raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
+    if args.report is not None and os.path.realpath(args.report) == os.path.realpath(args.out):
+        # the second rename would replace the first output
+        raise ConfigError("--report must name a different file than --out")
     # run_experiment refuses --workers < 1 before it simulates; a run can
     # still fail validation midway, e.g. on too many lottery draws or a float
     # overflow, and so can its mean or trend

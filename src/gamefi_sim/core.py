@@ -13,7 +13,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable, ClassVar, Dict, Iterator, List, Sequence, Tuple, get_type_hints
+from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
@@ -135,14 +135,13 @@ class RepeatRecords(Sequence[IterationRecord]):
         return (RepeatRecords, (self._table, self.counters))
 
 
-@dataclass
 class Population:
     """Per-player columns of one repeat's active players, shared by both models.
 
     Entry ``j`` on the last axis of ``ids``, ``productivity`` and each
-    column a model names in ``COLUMNS`` describes one active player. ``ids``
-    is strictly increasing: joiners get fresh ascending ids and departures
-    only delete entries, so index order is id order.
+    column a model passes to ``__init__`` describes one active player.
+    ``ids`` is strictly increasing: joiners get fresh ascending ids and
+    departures only delete entries, so index order is id order.
 
     Each column is the view ``buffer(name)[..., :n]`` of a C-contiguous
     backing buffer whose last axis is ``capacity``. :meth:`join` writes a
@@ -157,29 +156,25 @@ class Population:
     (``column[...] = values``) instead of rebinding it.
     """
 
-    COLUMNS: ClassVar[Tuple[str, ...]] = ()
-
-    params: Any
-    econ: EconParams
-    iteration: int = 0
-    next_id: int = 0
-    ids: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    productivity: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    capacity: int = field(default=0, init=False)
-    _buffers: Dict[str, np.ndarray] = field(default_factory=dict, init=False, repr=False)
-    _spares: Dict[str, np.ndarray] = field(default_factory=dict, init=False, repr=False)
+    def __init__(self, params: Any, econ: EconParams, **columns: np.ndarray) -> None:
+        """An empty store of ``ids``, ``productivity`` and the model's empty ``columns``."""
+        self.params, self.econ = params, econ
+        self.iteration = self.next_id = self.capacity = 0
+        self._buffers: Dict[str, np.ndarray] = {}
+        self._spares: Dict[str, np.ndarray] = {}
+        columns = dict(ids=np.zeros(0, dtype=np.int64), productivity=np.zeros(0), **columns)
+        self._names = tuple(columns)
+        for name, column in columns.items():
+            setattr(self, name, column)
 
     @property
     def active_players(self) -> int:
         return len(self.ids)
 
-    def _names(self) -> Tuple[str, ...]:
-        return ("ids", "productivity") + self.COLUMNS
-
     @property
     def bytes_per_player(self) -> int:
         """Bytes the store may allocate per player: STORE_FACTOR entries of each column."""
-        columns = (getattr(self, name) for name in self._names())
+        columns = (getattr(self, name) for name in self._names)
         return STORE_FACTOR * sum(math.prod(c.shape[:-1]) * c.itemsize for c in columns)
 
     @property
@@ -199,7 +194,7 @@ class Population:
         self.next_id += joins
         if n + joins > self.capacity:
             self._grow(n + joins)
-        for name in self._names():
+        for name in self._names:
             column = self._buffers[name][..., : n + joins]
             column[..., n:] = columns.get(name, 0)
             setattr(self, name, column)
@@ -218,7 +213,7 @@ class Population:
         rows = mask.nonzero()[0]
         kept = len(rows)
         spares = self._spares or {name: np.empty_like(b) for name, b in self._buffers.items()}
-        for name in self._names():
+        for name in self._names:
             column, spare = getattr(self, name), spares[name]
             if column.ndim == 1:
                 column.take(rows, out=spare[:kept], mode="clip")
@@ -233,7 +228,7 @@ class Population:
         """Move every column into buffers of twice the capacity, or of ``needed`` if more."""
         self.capacity = max(needed, 2 * self.capacity)
         self._spares.clear()
-        for name in self._names():
+        for name in self._names:
             column = getattr(self, name)
             buffer = np.empty(column.shape[:-1] + (self.capacity,), column.dtype)
             buffer[..., : column.shape[-1]] = column

@@ -24,12 +24,12 @@ from .core import (
     derive_stream,
 )
 
-# model modules: new_state(params, econ), with params the ExperimentSpec field
-# of that name, COUNTERS, step(state, rng), which returns the state and a tuple
-# of RECORD_FIELDS + COUNTERS values, and coast(state, rng, rows), which fills
-# the leading rows of the table view rows exactly as the next steps would,
-# leaving the state and stream where they would, and returns how many it
-# filled (0 when a row needs a step)
+# model modules: new_state(params, econ), the model's state class, with params
+# the ExperimentSpec field of that name, COUNTERS, step(state, rng), which
+# returns the state and a tuple of RECORD_FIELDS + COUNTERS values, and
+# coast(state, rng, rows), which fills the leading rows of the table view rows
+# exactly as the next steps would, leaving the state and stream where they
+# would, and returns how many it filled (0 when a row needs a step)
 MODELS = {"serverfi": serverfi, "retention": retention}
 
 # Run budget, checked before simulating: what the population's column store

@@ -10,7 +10,7 @@ that streak exceeds their personal tolerance they quit for good.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -114,7 +114,6 @@ def _top_winners(totals: np.ndarray, count: int) -> Tuple[np.ndarray, np.ndarray
 COUNTERS = ("payout_total", "winner_count", "window_total_sum")
 
 
-@dataclass
 class RetentionState(Population):
     """World state of one repeat: a population with tolerance, miss streak
     and contribution window per player.
@@ -130,15 +129,14 @@ class RetentionState(Population):
     players take their columns (and thus their ledger history) with them.
     """
 
-    COLUMNS = ("tolerance", "misses", "window_matrix")
+    def __init__(self, params: RetentionParams, econ: EconParams) -> None:
+        super().__init__(
+            params, econ, tolerance=np.zeros(0, dtype=np.int64), misses=np.zeros(0, dtype=np.int64),
+            window_matrix=np.zeros((params.window, 0)),
+        )
 
-    tolerance: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    misses: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    window_matrix: np.ndarray = field(default_factory=lambda: np.zeros((1, 0)))
 
-
-def new_state(params: RetentionParams, econ: EconParams) -> RetentionState:
-    return RetentionState(params, econ, window_matrix=np.zeros((params.window, 0)))
+new_state = RetentionState
 
 
 def step(state: RetentionState, rng: np.random.Generator) -> Tuple[RetentionState, Tuple]:

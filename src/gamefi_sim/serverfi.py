@@ -19,7 +19,7 @@ than a foregone conclusion (see ``step``).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -136,7 +136,6 @@ COUNTERS = (
 )
 
 
-@dataclass
 class ServerFiState(Population):
     """World state of one repeat: a population with draw credit, fragment
     counts and staked NFTs per player.
@@ -148,12 +147,12 @@ class ServerFiState(Population):
     ``by_type`` counts every fragment a player has ever drawn, per type,
     type-major ``(k, n)``, and is never decremented. Every mint takes one
     fragment of each type and NFT holders never leave, so ``staked`` is
-    the per-player minimum of ``by_type`` over the types, and ``counts``,
-    the ``(n, k)`` inventory left to mint from, is ``(by_type - staked).T``,
-    computed on access. A player draws at most 2**24 fragments an
-    iteration over at most 2**20 iterations, so a cumulative count stays
-    below 2**44, far inside int64. Each per-type pass of the step (the
-    mint minimum, the missing-type scan) reads one contiguous row.
+    the per-player minimum of ``by_type`` over the types, and the ``(n, k)``
+    inventory left to mint from is ``(by_type - staked).T``. A player draws
+    at most 2**24 fragments an iteration over at most 2**20 iterations, so
+    a cumulative count stays below 2**44, far inside int64. Each per-type
+    pass of the step (the mint minimum, the missing-type scan) reads one
+    contiguous row.
 
     ``staked_total`` and ``fragments_held`` are the sums of ``staked`` and
     ``by_type`` over the players, kept as Python ints so that a step sums
@@ -163,23 +162,16 @@ class ServerFiState(Population):
     had drawn.
     """
 
-    COLUMNS = ("draw_credit", "by_type", "staked")
-
-    last_per_nft_reward: Optional[float] = None
-    staked_total: int = 0
-    fragments_held: int = 0
-    draw_credit: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    by_type: np.ndarray = field(default_factory=lambda: np.zeros((1, 0), dtype=np.int64))
-    staked: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-
-    @property
-    def counts(self) -> np.ndarray:
-        """Per-player fragment inventory, ``(n, k)``: ``(by_type - staked).T``."""
-        return (self.by_type - self.staked).T
+    def __init__(self, params: ServerFiParams, econ: EconParams) -> None:
+        super().__init__(
+            params, econ, draw_credit=np.zeros(0), by_type=np.zeros((params.k, 0), dtype=np.int64),
+            staked=np.zeros(0, dtype=np.int64),
+        )
+        self.last_per_nft_reward: Optional[float] = None
+        self.staked_total = self.fragments_held = 0
 
 
-def new_state(params: ServerFiParams, econ: EconParams) -> ServerFiState:
-    return ServerFiState(params, econ, by_type=np.zeros((params.k, 0), dtype=np.int64))
+new_state = ServerFiState
 
 
 def step(state: ServerFiState, rng: np.random.Generator) -> Tuple[ServerFiState, Tuple]:

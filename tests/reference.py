@@ -322,7 +322,7 @@ def run_serverfi_against_reference(params, econ, seed, iterations):
     assert state.ids.tolist() == [p.id for p in ref_players]
     assert state.productivity.tolist() == [p.productivity for p in ref_players]
     assert state.draw_credit.tolist() == [p.draw_credit for p in ref_players]
-    assert state.counts.tolist() == [p.counts for p in ref_players]
+    assert (state.by_type - state.staked).T.tolist() == [p.counts for p in ref_players]
     assert state.staked.tolist() == [p.staked_nfts for p in ref_players]
     return records, rewards
 

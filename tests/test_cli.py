@@ -352,6 +352,52 @@ class TestAtomicOutputs:
         ]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+    @pytest.mark.parametrize(
+        "flags", [["--out"], ["--report"], ["--out", "--report"]], ids=["out", "report", "both"]
+    )
+    @pytest.mark.parametrize(
+        "path, message",
+        [
+            ("", "[Errno 2] No such file or directory: ''"),
+            (".", "[Errno 21] Is a directory: '.'"),
+            ("..", "[Errno 21] Is a directory: '..'"),
+            (os.sep, f"[Errno 21] Is a directory: '{os.sep}'"),
+        ],
+        ids=["empty", "dot", "dotdot", "root"],
+    )
+    def test_empty_or_dot_output_exits_two_before_probing_or_simulating(
+        self, config_path, tmp_path, capsys, monkeypatch, flags, path, message
+    ):
+        # the temp-file probe of each would go in the parent of the
+        # directory the path names ("" names the working directory)
+        def run_experiment(*args, **kwargs):
+            raise AssertionError("simulated before checking the output path")
+
+        created = []
+        create = os.open
+
+        def record_creation(name, flags, *args, **kwargs):
+            if flags & os.O_CREAT:
+                created.append(name)
+            return create(name, flags, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_experiment", run_experiment)
+        monkeypatch.setattr(os, "open", record_creation)
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        paths = {"--out": str(tmp_path / "run.csv"), "--report": str(tmp_path / "report.json")}
+        for flag in flags:
+            paths[flag] = path
+        assert simulate_with_report(config_path, paths["--out"], paths["--report"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: cannot write output: {message}"]
+        # only the --out probe, when --report alone is refused
+        assert created == ([] if "--out" in flags else [cli._temp_path(paths["--out"], 0)])
+        assert list(work.iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "work"]
+
     @pytest.mark.parametrize("flag", ["--out", "--report"])
     def test_output_in_an_unwritable_directory_exits_two_before_simulating(
         self, config_path, tmp_path, capsys, monkeypatch, flag

@@ -3,7 +3,6 @@
 import math
 import subprocess
 import sys
-from dataclasses import dataclass, field
 from unittest import mock
 
 import numpy as np
@@ -89,12 +88,9 @@ class TestDeriveStream:
         derive_stream(2**64 - 1, 0).random(3)
 
 
-@dataclass
 class Store(Population):
-    COLUMNS = ("score", "grid")
-
-    score: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    grid: np.ndarray = field(default_factory=lambda: np.zeros((3, 0), dtype=np.int64))
+    def __init__(self, params, econ):
+        super().__init__(params, econ, score=np.zeros(0), grid=np.zeros((3, 0), dtype=np.int64))
 
 
 class TestPopulation:

@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gamefi_sim import harness, serverfi
+from gamefi_sim import harness, retention, serverfi
 from gamefi_sim.core import STORE_FACTOR, EconParams, RepeatRecords, derive_stream
 from gamefi_sim.harness import (
     AggregateSeries,
@@ -16,8 +16,8 @@ from gamefi_sim.harness import (
     run_once,
     validate_spec,
 )
-from gamefi_sim.retention import RetentionParams
-from gamefi_sim.serverfi import ServerFiParams
+from gamefi_sim.retention import RetentionParams, RetentionState
+from gamefi_sim.serverfi import ServerFiParams, ServerFiState
 from reference import step_record
 
 SMALL_SERVERFI = ExperimentSpec(
@@ -179,6 +179,44 @@ class TestModelRegistry:
         assert all(column.itemsize == 8 for column in columns)
         per_player = state.bytes_per_player // (STORE_FACTOR * 8)
         assert sum(column.size for column in columns) == per_player * n
+
+    @pytest.mark.parametrize(
+        "module, params, columns",
+        [
+            (serverfi, ServerFiParams(k=k, n0=7), {
+                "draw_credit": ((0,), np.float64), "by_type": ((k, 0), np.int64),
+                "staked": ((0,), np.int64),
+            })
+            for k in (1, 8, 64)
+        ]
+        + [
+            (retention, RetentionParams(window=w, n0=7), {
+                "tolerance": ((0,), np.int64), "misses": ((0,), np.int64),
+                "window_matrix": ((w, 0), np.float64),
+            })
+            for w in (1, 5, 300)
+        ],
+        ids=["k1", "k8", "k64", "window1", "window5", "window300"],
+    )
+    def test_state_class_builds_an_empty_state_that_steps(self, module, params, columns):
+        state_class = ServerFiState if module is serverfi else RetentionState
+        state = state_class(params, EconParams())
+        columns = {"ids": ((0,), np.int64), "productivity": ((0,), np.float64), **columns}
+        for name, (shape, dtype) in columns.items():
+            assert (getattr(state, name).shape, getattr(state, name).dtype) == (shape, dtype), name
+        assert state.iteration == state.next_id == state.active_players == 0
+        if module is serverfi:
+            assert (state.last_per_nft_reward, state.staked_total, state.fragments_held) == (
+                None, 0, 0)
+            assert state.bytes_per_player == 4 * 8 * (params.k + 4)
+        else:
+            assert state.bytes_per_player == 4 * 8 * (params.window + 4)
+        rng = derive_stream(3, 0)
+        for _ in range(30):
+            state, _ = module.step(state, rng)
+        assert state.iteration == 30 and state.active_players > 0
+        # harness.MODELS builds a state through new_state
+        assert module.new_state is state_class
 
     def test_run_once_looks_up_the_step_at_call_time(self, monkeypatch):
         calls = []

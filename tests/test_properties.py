@@ -106,7 +106,7 @@ def test_serverfi_staked_is_the_minimum_of_cumulative_counts(params, econ, seed,
     rng = derive_stream(seed, 0)
     for _ in range(iterations):
         record = step_record(serverfi, serverfi.step(state, rng)[1])
-        counts = state.counts
+        counts = (state.by_type - state.staked).T
         assert state.staked.tolist() == state.by_type.min(axis=0).tolist()
         assert (counts.min(axis=1) == 0).all()
         assert record.extra["inventory_total"] == counts.sum()

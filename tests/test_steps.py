@@ -35,7 +35,8 @@ def serverfi_digest(params, econ, seed, iterations):
     rng = derive_stream(seed, 0)
     rows = [serverfi.step(state, rng)[1] for _ in range(iterations)]
     digest = hashlib.sha256(repr(list(step_records(serverfi, rows))).encode())
-    for column in (state.ids, state.productivity, state.draw_credit, state.counts, state.staked):
+    counts = (state.by_type - state.staked).T
+    for column in (state.ids, state.productivity, state.draw_credit, counts, state.staked):
         digest.update(f"{column.dtype}{column.shape}".encode())
         digest.update(column.tobytes())
     digest.update(repr(rng.random()).encode())
