@@ -6,7 +6,7 @@ Subcommands:
   oracle    check the analytic full-collection cost against brute force
 
 Exit codes: 0 success, 1 validation/usage error, 2 I/O error, 3 a pool
-worker died, 130 interrupted.
+worker died or could not start, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .analysis import (
 )
 from .config import ConfigError, parse_config
 from .core import derive_stream
-from .harness import run_experiment
+from .harness import WorkerStartError, run_experiment
 from .serverfi import expected_collection_cost
 
 EXIT_OK = 0
@@ -222,9 +222,9 @@ def cli_main(argv: Optional[List[str]] = None) -> int:
     This is the one place an exception becomes an exit code. A usage error,
     a ValueError (a ConfigError, a file that is not UTF-8, a run that fails
     validation midway) or a MemoryError exits 1; a failed read or write
-    exits 2; a pool worker that died (a broken process pool) exits 3; an
-    interrupt (Ctrl-C) exits 130. A failure prints exactly one ``error:``
-    line to stderr.
+    exits 2; a pool worker that died (a broken process pool) or could not
+    start exits 3; an interrupt (Ctrl-C) exits 130. A failure prints
+    exactly one ``error:`` line to stderr.
     """
     parser = _build_parser()
     try:
@@ -242,6 +242,8 @@ def cli_main(argv: Optional[List[str]] = None) -> int:
         message, code = "out of memory" + (f": {exc}" if str(exc) else ""), EXIT_VALIDATION
     except _IOFailure as exc:
         message, code = str(exc), EXIT_IO
+    except WorkerStartError as exc:
+        message, code = str(exc), EXIT_WORKER_DIED
     except RuntimeError as exc:
         # imported here, so a serial run never loads the pool's modules
         from concurrent.futures import BrokenExecutor

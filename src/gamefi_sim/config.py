@@ -4,6 +4,13 @@ A config document has one top-level key per parameter block plus the run
 controls. Missing keys fall back to the documented defaults; unknown keys
 are rejected rather than ignored so typos cannot silently change a run.
 
+One rule, read from the dataclass fields, parses the document as the
+:class:`ExperimentSpec` block. A field with a default factory is a nested
+block (``null`` keeps its defaults); any other field takes the JSON type of
+its default, integers accepted for numbers. ``model`` is required and the
+spec checks it. In each block unknown keys are reported first, in document
+order, then the fields in declaration order.
+
 Example::
 
     {
@@ -22,8 +29,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import typing
-from typing import Any, Dict, Tuple
+from typing import Any, Dict
 
 from .harness import ExperimentSpec
 
@@ -32,26 +38,8 @@ class ConfigError(ValueError):
     """Raised for malformed documents, unknown keys, or out-of-range values."""
 
 
-# JSON key -> dataclass field, where the two differ
-_ALIASES = {"lambda": "lam"}
-
-
-def _block_fields(block: type) -> Dict[str, Tuple[str, type]]:
-    """JSON key -> (dataclass field, python type) for one parameter block."""
-    keys = {name: key for key, name in _ALIASES.items()}
-    hints = typing.get_type_hints(block)
-    return {keys.get(f.name, f.name): (f.name, hints[f.name]) for f in dataclasses.fields(block)}
-
-
-# top-level keys in ExperimentSpec order, which is the order their errors are
-# reported in; a field with a default factory is a parameter block
-_SPEC_FIELDS = dataclasses.fields(ExperimentSpec)
-_TOP_LEVEL_KEYS = tuple(f.name for f in _SPEC_FIELDS)
-_BLOCK_FIELDS = {
-    f.name: _block_fields(f.default_factory)
-    for f in _SPEC_FIELDS
-    if f.default_factory is not dataclasses.MISSING
-}
+# dataclass field -> JSON key, where the two differ
+_JSON_KEYS = {"lam": "lambda"}
 
 
 def _coerce(value: Any, kind: type, path: str) -> Any:
@@ -76,19 +64,33 @@ def _coerce(value: Any, kind: type, path: str) -> Any:
     raise AssertionError(f"unsupported field type {kind!r}")
 
 
-def _parse_block(raw: Any, block: type, path: str) -> Any:
-    if raw is None:
-        return block()
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path} must be an object")
-    fields = _BLOCK_FIELDS[path]
-    kwargs: Dict[str, Any] = {}
-    for key, value in raw.items():
+def _parse_block(raw: Dict[str, Any], block: type, prefix: str) -> Any:
+    """Build dataclass ``block`` from JSON object ``raw``; ``prefix`` starts its keys' paths."""
+    fields = {_JSON_KEYS.get(f.name, f.name): f for f in dataclasses.fields(block)}
+    for key in raw:
         if key not in fields:
-            raise ConfigError(f"unknown key: {path}.{key}")
-        field_name, kind = fields[key]
-        kwargs[field_name] = _coerce(value, kind, f"{path}.{key}")
-    return block(**kwargs)
+            raise ConfigError(f"unknown key: {prefix}{key}")
+    values: Dict[str, Any] = {}
+    for key, field in fields.items():
+        if key not in raw:
+            if key == "model":
+                raise ConfigError("model is required ('serverfi' or 'retention')")
+            continue
+        value, path = raw[key], prefix + key
+        if field.default_factory is not dataclasses.MISSING:
+            if value is None:
+                continue
+            if not isinstance(value, dict):
+                raise ConfigError(f"{path} must be an object")
+            value = _parse_block(value, field.default_factory, path + ".")
+        elif key != "model":
+            value = _coerce(value, type(field.default), path)
+        values[field.name] = value
+    try:
+        return block(**values)
+    except ValueError as exc:
+        # the spec checks itself when it is built
+        raise ConfigError(str(exc)) from None
 
 
 def parse_config(text: str) -> ExperimentSpec:
@@ -99,23 +101,4 @@ def parse_config(text: str) -> ExperimentSpec:
         raise ConfigError(f"invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-
-    for key in raw:
-        if key not in _TOP_LEVEL_KEYS:
-            raise ConfigError(f"unknown key: {key}")
-
-    if "model" not in raw:
-        raise ConfigError("model is required ('serverfi' or 'retention')")
-
-    values: Dict[str, Any] = {"model": raw["model"]}
-    for spec_field in _SPEC_FIELDS[1:]:
-        name = spec_field.name
-        if name in _BLOCK_FIELDS:
-            values[name] = _parse_block(raw.get(name), spec_field.default_factory, name)
-        else:
-            default = spec_field.default
-            values[name] = _coerce(raw.get(name, default), type(default), name)
-    try:
-        return ExperimentSpec(**values)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return _parse_block(raw, ExperimentSpec, "")

@@ -187,6 +187,10 @@ def aggregate(tables: Sequence[RepeatRecords]) -> AggregateSeries:
     return AggregateSeries(**columns)
 
 
+class WorkerStartError(Exception):
+    """A process pool could not start a worker; the message names the OSError."""
+
+
 def _run_repeat(args: Tuple[ExperimentSpec, int]) -> RepeatRecords:
     """Run a ``(spec, repeat_index)`` job by the module-level ``run_once``, which may be wrapped."""
     spec, repeat_index = args
@@ -205,7 +209,9 @@ def run_experiment(
     by repeat index. The pool has at most one process per repeat and per
     CPU: more would only wait. If the run fails or is interrupted, the
     pool cancels its pending repeats and waits for the running ones before
-    the exception propagates; its workers ignore SIGINT.
+    the exception propagates; its workers ignore SIGINT. If the pool cannot
+    start a worker, the workers it started are stopped and WorkerStartError
+    is raised.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -214,6 +220,7 @@ def run_experiment(
     if workers == 1:
         results = list(map(_run_repeat, jobs))
     else:
+        import multiprocessing
         import signal
         from concurrent.futures import ProcessPoolExecutor
 
@@ -224,8 +231,17 @@ def run_experiment(
         # workers ignore Ctrl-C, so an idle one prints no traceback: the
         # parent takes it, and an exception leaving pool.map's iterator
         # cancels the repeats not yet handed to a worker
-        with ProcessPoolExecutor(
-            workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
-        ) as pool:
-            results = list(pool.map(_run_repeat, jobs))
+        existing = set(multiprocessing.active_children())
+        try:
+            with ProcessPoolExecutor(
+                workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
+            ) as pool:
+                results = list(pool.map(_run_repeat, jobs))
+        except OSError as exc:
+            # a failed fork: the workers forked before it wait for work the
+            # pool never sends, and the interpreter's exit would wait for them
+            for worker in set(multiprocessing.active_children()) - existing:
+                worker.terminate()
+                worker.join()
+            raise WorkerStartError(f"cannot start a worker process: {exc}") from None
     return aggregate(results), results

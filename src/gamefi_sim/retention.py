@@ -68,6 +68,9 @@ class RetentionParams:
             raise ValueError("retention.n0 must be non-negative")
         if not self.alpha > 1:
             raise ValueError("retention.alpha must exceed 1")
+        # the run budget's cohort bound divides alpha by alpha - 1
+        if not math.isfinite(self.alpha):
+            raise ValueError("retention.alpha must be finite")
 
 
 def _ring_totals(ring: np.ndarray) -> np.ndarray:
@@ -221,11 +224,10 @@ _COAST_BLOCK = 2**16
 def coast(state: RetentionState, rng: np.random.Generator, rows: np.ndarray) -> int:
     """Fill the leading rows of ``rows`` as the next steps would; return how many.
 
-    Once at most one player is left and no cohort will arrive (cohorts
-    never grow again, so ``cohort_size(state.iteration + 1) == 0`` means
-    none ever will), the rest of the repeat is fixed. With no player, each
-    row is zeros after its iteration number, and nothing is drawn. One
-    player is the one winner each iteration (``winner_count`` is
+    Once one player is left and no cohort will arrive (cohorts never grow
+    again, so ``cohort_size(state.iteration + 1) == 0`` means none ever
+    will), the rest of the repeat is fixed. That player is the one winner
+    each iteration (``winner_count`` is
     ``max(1, floor(top_fraction))`` = 1), so their misses stay 0 and they
     never leave; each iteration then draws exactly one normal, for their
     mutation. So the rows follow from one block of normals: the
@@ -237,18 +239,13 @@ def coast(state: RetentionState, rng: np.random.Generator, rows: np.ndarray) -> 
     A coast never raises a float error. Where a step would overflow it
     stops before that iteration, so the step raises the usual error there;
     filling none instead would make a late overflow retry the whole tail
-    after every step. Otherwise it fills every row. With more players, a cohort still to
-    come, or a lone player's window over 2**14 (see ``_COAST_BLOCK``), it
-    fills none.
+    after every step. Otherwise it fills every row. With no player or more
+    than one, a cohort still to come, or a lone player's window over 2**14
+    (see ``_COAST_BLOCK``), it fills none.
     """
     p = state.params
-    if state.active_players > 1 or cohort_size(state.iteration + 1, p.n0, p.alpha):
+    if state.active_players != 1 or cohort_size(state.iteration + 1, p.n0, p.alpha):
         return 0
-    if not state.active_players:
-        rows[...] = 0.0
-        rows[:, 0] = np.arange(state.iteration + 1, state.iteration + 1 + len(rows))
-        state.iteration += len(rows)
-        return len(rows)
     block = _COAST_BLOCK // p.window
     if block < 4:
         return 0

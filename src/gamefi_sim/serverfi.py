@@ -19,6 +19,7 @@ than a foregone conclusion (see ``step``).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -67,6 +68,9 @@ class ServerFiParams:
             raise ValueError("serverfi.n0 must be non-negative")
         if not self.alpha > 1:
             raise ValueError("serverfi.alpha must exceed 1")
+        # the run budget's cohort bound divides alpha by alpha - 1
+        if not math.isfinite(self.alpha):
+            raise ValueError("serverfi.alpha must be finite")
         if not 0 <= self.staking_share <= 1:
             raise ValueError("serverfi.staking_share must be between 0 and 1")
         if self.payoff_horizon < 1:

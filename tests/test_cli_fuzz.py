@@ -4,8 +4,9 @@ Hypothesis builds config documents (valid, invalid, mistyped, non-finite,
 malformed JSON) and flag sets. Every call must return 0, 1 or 2, raise
 nothing, warn nothing and, on failure, print exactly one ``error:`` line and
 leave no output or temp file behind. A run that ends in an interrupt, a
-dead pool worker or a MemoryError must give that failure's exit code (130,
-3, 1) and its one ``error:`` line, and leave nothing behind either.
+dead pool worker, a pool worker that cannot start or a MemoryError must
+give that failure's exit code (130, 3, 3, 1) and its one ``error:`` line,
+and leave nothing behind either.
 
 Values that set how much work a run does stay small, so the property runs
 in seconds, but some of them also take huge values. Huge ``n0``,
@@ -52,6 +53,7 @@ from hypothesis import strategies as st  # noqa: E402
 from gamefi_sim import cli  # noqa: E402
 from gamefi_sim.analysis import CSV_HEADER  # noqa: E402
 from gamefi_sim.cli import cli_main  # noqa: E402
+from gamefi_sim.harness import WorkerStartError  # noqa: E402
 from gamefi_sim.serverfi import MAX_DRAWS_PER_ITERATION  # noqa: E402
 
 BAD_SCALARS = st.one_of(
@@ -265,6 +267,8 @@ RUN_FAILURES = [
     (KeyboardInterrupt, (), 130, "error: interrupted"),
     (BrokenProcessPool, ("a worker was killed",), 3,
      "error: a worker process died: a worker was killed"),
+    (WorkerStartError, ("cannot start a worker process: [Errno 11] no more processes",), 3,
+     "error: cannot start a worker process: [Errno 11] no more processes"),
     (MemoryError, (), 1, "error: out of memory"),
     (MemoryError, ("Unable to allocate 8.00 GiB for an array",), 1,
      "error: out of memory: Unable to allocate 8.00 GiB for an array"),

@@ -1,5 +1,8 @@
 """Config-document parsing tests: defaults, strictness, field-path errors."""
 
+import dataclasses
+import json
+import typing
 from pathlib import Path
 
 import pytest
@@ -138,3 +141,103 @@ class TestCoercions:
     def test_equal_split_boolean(self):
         spec = parse_config('{"model": "retention", "retention": {"equal_split": true}}')
         assert spec.retention.equal_split is True
+
+
+def spec_fields():
+    """(JSON path, dataclass field, annotated type) of every field, blocks and their fields."""
+    found = []
+    for spec_field in dataclasses.fields(ExperimentSpec):
+        kind = typing.get_type_hints(ExperimentSpec)[spec_field.name]
+        found.append((spec_field.name, spec_field, kind))
+        if dataclasses.is_dataclass(kind):
+            for block_field in dataclasses.fields(kind):
+                key = "lambda" if block_field.name == "lam" else block_field.name
+                hint = typing.get_type_hints(kind)[block_field.name]
+                found.append((f"{spec_field.name}.{key}", block_field, hint))
+    return found
+
+
+class TestTypeFromDefault:
+    # the parser reads a field's JSON type from its default, so a float
+    # field with an int default would turn into an integer field
+    @pytest.mark.parametrize(
+        "path,spec_field,kind", spec_fields(), ids=[path for path, _, _ in spec_fields()]
+    )
+    def test_every_default_has_its_annotated_type(self, path, spec_field, kind):
+        if spec_field.default_factory is not dataclasses.MISSING:
+            default = spec_field.default_factory()
+        else:
+            default = spec_field.default
+        assert type(default) is kind, path
+
+    # one wrong value of another JSON type, and one of a near one, per field
+    WRONG = {
+        bool: ("x", 1, "a boolean"),
+        int: ("x", 1.5, "an integer"),
+        float: ("x", True, "a number"),
+    }
+
+    @pytest.mark.parametrize(
+        "path,kind",
+        [pytest.param(path, kind, id=path) for path, _, kind in spec_fields() if path != "model"],
+    )
+    def test_a_wrong_typed_value_is_reported_by_its_path(self, path, kind):
+        if dataclasses.is_dataclass(kind):
+            values, message = ("x", 3, [], True), f"{path} must be an object"
+        else:
+            *values, noun = self.WRONG[kind]
+            message = f"{path} must be {noun}"
+        for value in values:
+            doc = {"model": "serverfi"}
+            *block, key = path.split(".")
+            (doc.setdefault(block[0], {}) if block else doc)[key] = value
+            with pytest.raises(ConfigError) as caught:
+                parse_config(json.dumps(doc))
+            assert str(caught.value) == message
+
+    def test_a_model_of_another_type_is_refused_by_the_spec(self):
+        with pytest.raises(ConfigError, match="^model must be 'serverfi' or 'retention'$"):
+            parse_config('{"model": 1}')
+
+
+class TestErrorOrder:
+    # in every object: unknown keys first, in document order, then the
+    # fields in declaration order; the spec's own checks last
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            # the unknown key wins over the type faults before and after it
+            (
+                {"model": "serverfi", "serverfi": {"alpha": "x", "beta": 1, "k": "y"}},
+                "unknown key: serverfi.beta",
+            ),
+            # k is declared before alpha, whatever the document's order
+            (
+                {"model": "serverfi", "serverfi": {"alpha": "x", "k": "y"}},
+                "serverfi.k must be an integer",
+            ),
+            ({"iterations": "x", "bogus": 1, "typo": 2}, "unknown key: bogus"),
+            ({"iterations": "x", "econ": 3}, "model is required ('serverfi' or 'retention')"),
+            # econ is declared before retention, so its fault beats the
+            # unknown key nested in retention
+            (
+                {"model": "serverfi", "retention": {"k": 1}, "econ": {"mutation_sigma": "y"}},
+                "econ.mutation_sigma must be a number",
+            ),
+            (
+                {"model": "serverfi", "master_seed": "x", "iterations": "y"},
+                "iterations must be an integer",
+            ),
+            # type faults come before the spec checks the model and the ranges
+            ({"model": "casino", "repeats": "x"}, "repeats must be an integer"),
+            ({"model": "serverfi", "iterations": 0, "repeats": "x"}, "repeats must be an integer"),
+        ],
+    )
+    def test_first_fault_reported(self, doc, message):
+        with pytest.raises(ConfigError) as caught:
+            parse_config(json.dumps(doc))
+        assert str(caught.value) == message
+
+    def test_null_block_keeps_its_defaults(self):
+        doc = {"model": "serverfi", "econ": None, "serverfi": None, "retention": None}
+        assert parse_config(json.dumps(doc)) == ExperimentSpec()

@@ -6,6 +6,7 @@ header (it is derived from the ``AggregateSeries`` fields) and the oracle's
 trials bound.
 """
 
+import errno
 import json
 import os
 import signal
@@ -261,6 +262,57 @@ def test_ctrl_c_to_a_pooled_run_prints_one_line(tmp_path):
         process.kill()
     assert (process.returncode, out, err) == (130, "", "error: interrupted\n")
     assert not (tmp_path / "run.csv").exists()
+
+
+# Run in a fresh interpreter: the fork that starts worker number fail_at
+# fails as a process limit would make it, without exhausting any.
+FORK_FAILS_RUN = """
+import errno, os, sys
+from gamefi_sim import cli
+
+fail_at = int(sys.argv.pop(1))
+fork, forks = os.fork, []
+
+def failing_fork():
+    forks.append(None)
+    if len(forks) == fail_at:
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+    return fork()
+
+os.fork = failing_fork
+cli.main()
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs at least 2 CPUs")
+@pytest.mark.parametrize("fail_at", [1, 2], ids=["first_fork", "second_fork"])
+def test_a_pool_that_cannot_start_a_worker_exits_three(tmp_path, fail_at):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TINY_CONFIG), encoding="utf-8")
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "run.csv")]
+    process = subprocess.Popen(
+        [sys.executable, "-c", FORK_FAILS_RUN, str(fail_at), *argv, "--workers", "2"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    )
+    try:
+        out, err = process.communicate(timeout=30)
+        # the session is empty: no worker was left running
+        with pytest.raises(ProcessLookupError):
+            os.killpg(process.pid, 0)
+    finally:
+        try:
+            os.killpg(process.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        process.wait()
+    reason = f"[Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}"
+    line = f"error: cannot start a worker process: {reason}\n"
+    assert (process.returncode, out, err) == (3, "", line)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def series_csv(path, means):

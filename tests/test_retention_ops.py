@@ -5,6 +5,7 @@ import math
 import pytest
 
 from gamefi_sim.core import derive_stream
+from gamefi_sim.harness import ExperimentSpec
 from gamefi_sim.retention import RetentionParams
 from reference import RetentionPlayer, payout, select_top, update_churn, window_totals
 
@@ -131,3 +132,10 @@ class TestRetentionParamsValidation:
 
     def test_headline_constants_valid(self):
         RetentionParams(top_fraction=0.2, pool_share=0.8, window=5).validate()
+
+    @pytest.mark.parametrize("model", ["serverfi", "retention"])
+    def test_infinite_alpha_refused_by_its_path_active_or_not(self, model):
+        # unchecked, the run budget's cohort bound ceil(inf / inf) would fail
+        # with a ValueError that names no field
+        with pytest.raises(ValueError, match=r"^retention\.alpha must be finite$"):
+            ExperimentSpec(model=model, retention=RetentionParams(alpha=math.inf))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gamefi_sim.core import derive_stream
+from gamefi_sim.harness import ExperimentSpec
 from gamefi_sim.serverfi import (
     ServerFiParams,
     arrivals,
@@ -242,3 +243,10 @@ class TestServerFiParamsValidation:
 
     def test_defaults_valid(self):
         ServerFiParams().validate()
+
+    @pytest.mark.parametrize("model", ["serverfi", "retention"])
+    def test_infinite_alpha_refused_by_its_path_active_or_not(self, model):
+        # unchecked, the run budget's cohort bound ceil(inf / inf) would fail
+        # with a ValueError that names no field
+        with pytest.raises(ValueError, match=r"^serverfi\.alpha must be finite$"):
+            ExperimentSpec(model=model, serverfi=ServerFiParams(alpha=math.inf))

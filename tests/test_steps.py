@@ -589,17 +589,18 @@ class TestRetentionCoast:
             with pytest.raises(FloatingPointError, match="overflow encountered in reduce"):
                 retention.step(coasted, coast_rng)
 
-    def test_empty_world_coasts_without_drawing(self):
+    def test_empty_world_is_stepped_not_coasted(self):
+        # no player happens only at n0 = 0, whose steps draw nothing
         params = RetentionParams(n0=0)
         state = retention.new_state(params, EconParams())
         rng = derive_stream(8, 0)
         before = rng.bit_generator.state
         rows = np.full((7, len(RECORD_FIELDS) + len(retention.COUNTERS)), np.nan)
-        assert retention.coast(state, rng, rows) == 7
-        assert state.iteration == 7
+        assert retention.coast(state, rng, rows) == 0
+        assert state.iteration == 0
         assert rng.bit_generator.state == before
-        assert rows.tolist() == [[i] + [0.0] * 7 for i in range(1, 8)]
-        assert run_coast_against_steps(params, EconParams(), 8, 30) == 29
+        assert np.isnan(rows).all()
+        assert run_coast_against_steps(params, EconParams(), 8, 30) == 0
 
     @pytest.mark.parametrize("window", [8, 200])
     @pytest.mark.parametrize("equal_split", [False, True])
