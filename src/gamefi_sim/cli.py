@@ -92,6 +92,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _print(text: str) -> None:
+    """Print ``text`` to stdout now; a failed write (a closed pipe) is an I/O failure.
+
+    After a failure fd 1 points at ``os.devnull``, so the interpreter's
+    flush of stdout at exit prints nothing more.
+    """
+    try:
+        print(text, flush=True)
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise _IOFailure(f"cannot write stdout: {exc}") from exc
+
+
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
@@ -179,9 +194,15 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
                 os.remove(temp)
             except OSError as exc:
                 raise OSError(exc.errno, exc.strerror, path) from exc
-    if args.report is not None and os.path.realpath(args.report) == os.path.realpath(args.out):
-        # the second rename would replace the first output
-        raise ConfigError("--report must name a different file than --out")
+    # a rename would replace the config, or the second the first output
+    flags = {}
+    for flag, path in (("--config", args.config), ("--out", args.out), ("--report", args.report)):
+        if path is None:
+            continue
+        real = os.path.realpath(path)
+        if real in flags:
+            raise ConfigError(f"{flag} must name a different file than {flags[real]}")
+        flags[real] = flag
     # run_experiment refuses --workers < 1 before it simulates; a run can
     # still fail validation midway, e.g. on too many lottery draws or a float
     # overflow, and so can its mean or trend
@@ -194,7 +215,8 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
         outputs.append((args.report, lambda path: _write_text(path, payload)))
     with _io_failure("cannot write output"):
         _write_outputs(outputs)
-    print(
+    # the outputs are in place, so a failed write to stdout leaves them
+    _print(
         f"wrote {args.out} (model={spec.model}, "
         f"{spec.iterations} iterations x {spec.repeats} repeats, seed={spec.master_seed})"
     )
@@ -203,7 +225,7 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
 def _cmd_report(args: argparse.Namespace) -> None:
     with _io_failure("cannot read series"):
         series = read_series_csv(args.source)
-    print(json.dumps(trend_report(series).to_dict(), indent=2))
+    _print(json.dumps(trend_report(series).to_dict(), indent=2))
 
 
 def _cmd_oracle(args: argparse.Namespace) -> None:
@@ -211,9 +233,10 @@ def _cmd_oracle(args: argparse.Namespace) -> None:
     estimate = coupon_oracle(args.k, args.trials, derive_stream(args.seed, 0))
     analytic = expected_collection_cost(args.k, 1.0)
     relative = abs(estimate - analytic) / analytic
-    print(f"analytic_cost={analytic:.6g}")
-    print(f"monte_carlo_mean={estimate:.6g}")
-    print(f"relative_error={relative:.6g}")
+    _print(
+        f"analytic_cost={analytic:.6g}\nmonte_carlo_mean={estimate:.6g}\n"
+        f"relative_error={relative:.6g}"
+    )
 
 
 def cli_main(argv: Optional[List[str]] = None) -> int:
@@ -221,8 +244,8 @@ def cli_main(argv: Optional[List[str]] = None) -> int:
 
     This is the one place an exception becomes an exit code. A usage error,
     a ValueError (a ConfigError, a file that is not UTF-8, a run that fails
-    validation midway) or a MemoryError exits 1; a failed read or write
-    exits 2; a pool worker that died (a broken process pool) or could not
+    validation midway) or a MemoryError exits 1; a failed read or write,
+    stdout's included, exits 2; a pool worker that died (a broken process pool) or could not
     start exits 3; an interrupt (Ctrl-C) exits 130. A failure prints
     exactly one ``error:`` line to stderr.
     """

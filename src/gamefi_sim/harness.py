@@ -25,11 +25,12 @@ from .core import (
 )
 
 # model modules: new_state(params, econ), the model's state class, with params
-# the ExperimentSpec field of that name, COUNTERS, step(state, rng), which
-# returns the state and a tuple of RECORD_FIELDS + COUNTERS values, and
-# coast(state, rng, rows), which fills the leading rows of the table view rows
-# exactly as the next steps would, leaving the state and stream where they
-# would, and returns how many it filled (0 when a row needs a step)
+# the ExperimentSpec field of that name, COUNTERS, and step(state, rng), which
+# advances the state in place and returns a tuple of RECORD_FIELDS + COUNTERS
+# values. A model may also define coast(state, rng, rows), which fills the
+# leading rows of the table view rows exactly as the next steps would, leaving
+# the state and stream where they would, and returns how many it filled (0
+# when a row needs a step); only retention does
 MODELS = {"serverfi": serverfi, "retention": retention}
 
 # Run budget, checked before simulating: what the population's column store
@@ -138,13 +139,15 @@ def run_once(spec: ExperimentSpec, repeat_index: int) -> RepeatRecords:
     model = MODELS[spec.model]
     state = model.new_state(getattr(spec, spec.model), spec.econ)
     table = np.empty((spec.iterations, len(RECORD_FIELDS) + len(model.COUNTERS)))
+    coast = getattr(model, "coast", None)
     try:
         with np.errstate(over="raise", invalid="raise"):
             t = 0
             while t < spec.iterations:
-                state, table[t] = model.step(state, rng)
+                table[t] = model.step(state, rng)
                 t += 1
-                t += model.coast(state, rng, table[t:])
+                if coast:
+                    t += coast(state, rng, table[t:])
     except FloatingPointError as exc:
         raise ValueError(
             f"repeat {repeat_index}, iteration {state.iteration + 1}: a value overflows "

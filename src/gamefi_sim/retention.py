@@ -142,15 +142,15 @@ class RetentionState(Population):
 new_state = RetentionState
 
 
-def step(state: RetentionState, rng: np.random.Generator) -> Tuple[RetentionState, Tuple]:
+def step(state: RetentionState, rng: np.random.Generator) -> Tuple:
     """Advance the world by one iteration, mutating ``state`` in place.
 
     Phase order: (1) ungated arrivals, (2) contributions recorded into the
     trailing window, (3) ranking, winner selection and payout, (4) miss
     bookkeeping and churn, (5) mutation of survivor productivity. Stream
     consumption per iteration: one normal per joiner, then one uniform per
-    joiner (tolerance), then one normal per survivor. Returns the state and
-    the iteration's row: the ``core.RECORD_FIELDS``, then the :data:`COUNTERS`.
+    joiner (tolerance), then one normal per survivor. Returns the
+    iteration's row: the ``core.RECORD_FIELDS``, then the :data:`COUNTERS`.
 
     Ranking orders by window total, highest first, with ties to the lower
     id: :func:`_top_winners` selects the winners, and the payout sums run
@@ -209,7 +209,7 @@ def step(state: RetentionState, rng: np.random.Generator) -> Tuple[RetentionStat
         state.productivity[...] = mutate_productivity_batch(state.productivity, rng, econ)
 
     state.iteration = i
-    return state, (
+    return (
         i, total_value, n, joins, departures, payout_total, winner_count, window_total_sum
     )
 

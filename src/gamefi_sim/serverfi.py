@@ -178,7 +178,7 @@ class ServerFiState(Population):
 new_state = ServerFiState
 
 
-def step(state: ServerFiState, rng: np.random.Generator) -> Tuple[ServerFiState, Tuple]:
+def step(state: ServerFiState, rng: np.random.Generator) -> Tuple:
     """Advance the world by one iteration, mutating ``state`` in place.
 
     Phase order: (1) gated arrivals, (2) contributions (total value T is
@@ -187,8 +187,8 @@ def step(state: ServerFiState, rng: np.random.Generator) -> Tuple[ServerFiState,
     payout to the freshly staked cohort, (5) rational churn, (6) mutation
     of survivor productivity. Stream consumption per iteration is: one
     normal per joiner, one uniform per lottery draw, one normal per
-    survivor, in that order. Returns the state and the iteration's row:
-    the ``core.RECORD_FIELDS``, then the :data:`COUNTERS`.
+    survivor, in that order. Returns the iteration's row: the
+    ``core.RECORD_FIELDS``, then the :data:`COUNTERS`.
 
     Phase (3) converts credit to draws in float (``floor`` of the credit
     over ``lam``, exact below 2**53) and refuses, with a ValueError, an
@@ -285,17 +285,11 @@ def step(state: ServerFiState, rng: np.random.Generator) -> Tuple[ServerFiState,
         state.productivity[...] = mutate_productivity_batch(state.productivity, rng, econ)
 
     state.iteration = i
-    return state, (
+    return (
         i, total_value, n, joins, departures, nfts_minted, staked_total, reward, draws_total,
         state.fragments_held - p.k * staked_total, fragments_departed,
         state.draw_credit.sum(), credit_departed,
     )
-
-
-def coast(state: ServerFiState, rng: np.random.Generator, rows: np.ndarray) -> int:
-    """Fill no rows: a serverfi player keeps drawing fragments, so each row
-    depends on that step's draws."""
-    return 0
 
 
 @functools.lru_cache(maxsize=None)

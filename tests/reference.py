@@ -305,7 +305,7 @@ def run_serverfi_against_reference(params, econ, seed, iterations):
     rows = []
     rewards = []
     for _ in range(iterations):
-        rows.append(serverfi.step(state, rng)[1])
+        rows.append(serverfi.step(state, rng))
         rewards.append(state.last_per_nft_reward)
     records = step_records(serverfi, rows)
 
@@ -341,7 +341,7 @@ def retention_run(params, econ, seed, iterations, coast):
     coasted = t = 0
     with np.errstate(over="raise", invalid="raise"):
         while t < iterations:
-            state, table[t] = retention.step(state, rng)
+            table[t] = retention.step(state, rng)
             t += 1
             if coast:
                 filled = retention.coast(state, rng, table[t:])

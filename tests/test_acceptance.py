@@ -121,7 +121,7 @@ def test_criterion_5_conservation_over_full_runs():
     rng = derive_stream(spec.master_seed, 0)
     worst_rel = 0.0
     for _ in range(spec.iterations):
-        record = step_record(retention, retention.step(state, rng)[1])
+        record = step_record(retention, retention.step(state, rng))
         basis = spec.retention.pool_share * record.extra["window_total_sum"]
         if record.active_players:
             err = abs(record.extra["payout_total"] - basis)
@@ -143,7 +143,7 @@ def test_criterion_5_conservation_over_full_runs():
         ids_before = state.ids.copy()
         credit_before = state.draw_credit.copy()
         value_before = state.productivity.copy()
-        record = step_record(serverfi, serverfi.step(state, rng)[1])
+        record = step_record(serverfi, serverfi.step(state, rng))
 
         drawn += int(record.extra["draws"])
         minted += int(record.extra["nfts_minted"])

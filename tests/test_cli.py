@@ -310,6 +310,31 @@ class TestAtomicOutputs:
         ]
         assert list(work.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "outputs, flag",
+        [
+            (["--out", "config.json"], "--out"),
+            (["--out", "{work}/config.json", "--report", "report.json"], "--out"),
+            (["--out", "run.csv", "--report", "./config.json"], "--report"),
+        ],
+        ids=["out", "out_with_report", "report"],
+    )
+    def test_output_naming_the_config_exits_one_before_simulating(
+        self, config_path, tmp_path, capsys, monkeypatch, outputs, flag
+    ):
+        # else the output's rename would replace the config
+        monkeypatch.chdir(tmp_path)
+        before = config_path.read_bytes()
+        outputs = [path.format(work=tmp_path) for path in outputs]
+        assert cli_main(["simulate", "--config", "config.json", *outputs]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert error_lines(captured.err) == captured.err.splitlines() == [
+            f"error: {flag} must name a different file than --config"
+        ]
+        assert config_path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
     @pytest.mark.parametrize("name", ["fifo", "link"])
     @pytest.mark.parametrize("flag", ["--out", "--report"])
     def test_output_naming_a_fifo_exits_one_before_simulating(

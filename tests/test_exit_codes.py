@@ -37,6 +37,14 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
+def child_env():
+    """This environment, with the package's source first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestOneErrorBoundary:
     def test_config_that_is_not_utf8_exits_one(self, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -242,9 +250,7 @@ def test_ctrl_c_to_a_pooled_run_prints_one_line(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(TINY_CONFIG), encoding="utf-8")
     log = tmp_path / "started.log"
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = child_env()
     argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "run.csv")]
     process = subprocess.Popen(
         [sys.executable, "-c", CTRL_C_RUN, str(log), *argv, "--workers", "2"],
@@ -289,9 +295,7 @@ cli.main()
 def test_a_pool_that_cannot_start_a_worker_exits_three(tmp_path, fail_at):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(TINY_CONFIG), encoding="utf-8")
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = child_env()
     argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "run.csv")]
     process = subprocess.Popen(
         [sys.executable, "-c", FORK_FAILS_RUN, str(fail_at), *argv, "--workers", "2"],
@@ -313,6 +317,44 @@ def test_a_pool_that_cannot_start_a_worker_exits_three(tmp_path, fail_at):
     line = f"error: cannot start a worker process: {reason}\n"
     assert (process.returncode, out, err) == (3, "", line)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["oracle", "report", "simulate"])
+def test_closed_stdout_exits_two_with_one_line(tmp_path, capsys, command, unbuffered):
+    # as in `gamefi-sim oracle ... | true`: the reader has gone before the
+    # first write, whether it comes with the print or with the flush at exit
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TINY_CONFIG), encoding="utf-8")
+    series, report = tmp_path / "run.csv", tmp_path / "report.json"
+    argv = ["simulate", "--config", str(config), "--out", str(series), "--report", str(report)]
+    assert cli_main(argv) == 0
+    capsys.readouterr()
+    argv = {
+        "oracle": ["oracle", "--k", "4", "--trials", "1000"],
+        "report": ["report", "--in", str(series)],
+        "simulate": ["simulate", "--config", str(config), "--out", str(tmp_path / "piped.csv"),
+                     "--report", str(tmp_path / "piped.json")],
+    }[command]
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        process = subprocess.run(
+            [sys.executable, "-m", "gamefi_sim.cli", *argv],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    reason = f"[Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}"
+    assert (process.returncode, process.stderr) == (2, f"error: cannot write stdout: {reason}\n")
+    if command == "simulate":
+        # the outputs were complete and in place before the print, so they stay
+        assert (tmp_path / "piped.csv").read_bytes() == series.read_bytes()
+        assert (tmp_path / "piped.json").read_bytes() == report.read_bytes()
 
 
 def series_csv(path, means):

@@ -155,7 +155,7 @@ class TestValidateSpec:
         rng = derive_stream(8, 0)
         peak = departures = 0
         for _ in range(80):
-            record = step_record(module, module.step(state, rng)[1])
+            record = step_record(module, module.step(state, rng))
             peak = max(peak, record.active_players)
             departures += record.departures
             assert state.nbytes <= state.bytes_per_player * peak
@@ -172,7 +172,8 @@ class TestModelRegistry:
     def test_state_columns_counts_every_per_player_entry(self, model, params):
         # the run budget prices a player at 8 bytes per state column
         module = harness.MODELS[model]
-        state, _ = module.step(module.new_state(params, EconParams()), derive_stream(0, 0))
+        state = module.new_state(params, EconParams())
+        module.step(state, derive_stream(0, 0))
         n = state.active_players
         columns = [value for value in vars(state).values() if isinstance(value, np.ndarray)]
         assert n > 0
@@ -213,7 +214,7 @@ class TestModelRegistry:
             assert state.bytes_per_player == 4 * 8 * (params.window + 4)
         rng = derive_stream(3, 0)
         for _ in range(30):
-            state, _ = module.step(state, rng)
+            module.step(state, rng)
         assert state.iteration == 30 and state.active_players > 0
         # harness.MODELS builds a state through new_state
         assert module.new_state is state_class
@@ -229,6 +230,28 @@ class TestModelRegistry:
         monkeypatch.setattr(serverfi, "step", counted)
         run_once(dataclasses.replace(SMALL_SERVERFI, iterations=3), 0)
         assert calls == [0, 1, 2]
+
+    def test_run_once_steps_a_model_without_coast(self, monkeypatch):
+        # only retention defines coast; without it, run_once steps the tail it would coast
+        assert not hasattr(serverfi, "coast")
+        spec = ExperimentSpec(
+            model="retention", retention=RetentionParams(n0=1, alpha=2.0), iterations=60, repeats=1
+        )
+        filled = []
+        original = retention.coast
+
+        def counted(state, rng, rows):
+            filled.append(original(state, rng, rows))
+            return filled[-1]
+
+        def table_bytes(records):
+            return np.column_stack([records.column(name) for name in records.columns]).tobytes()
+
+        monkeypatch.setattr(retention, "coast", counted)
+        coasted = table_bytes(run_once(spec, 0))
+        assert sum(filled) > 0
+        monkeypatch.delattr(retention, "coast")
+        assert table_bytes(run_once(spec, 0)) == coasted
 
 
 class TestRunOnce:

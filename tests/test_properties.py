@@ -105,7 +105,7 @@ def test_serverfi_staked_is_the_minimum_of_cumulative_counts(params, econ, seed,
     state = serverfi.new_state(params, econ)
     rng = derive_stream(seed, 0)
     for _ in range(iterations):
-        record = step_record(serverfi, serverfi.step(state, rng)[1])
+        record = step_record(serverfi, serverfi.step(state, rng))
         counts = (state.by_type - state.staked).T
         assert state.staked.tolist() == state.by_type.min(axis=0).tolist()
         assert (counts.min(axis=1) == 0).all()
@@ -118,7 +118,7 @@ def test_serverfi_staked_is_the_minimum_of_cumulative_counts(params, econ, seed,
 def test_retention_step_equals_reference(params, econ, seed, iterations):
     state = retention.new_state(params, econ)
     rng = derive_stream(seed, 0)
-    records = step_records(retention, [retention.step(state, rng)[1] for _ in range(iterations)])
+    records = step_records(retention, [retention.step(state, rng) for _ in range(iterations)])
 
     ref_records, ref_players = reference_retention_run(params, econ, seed, iterations)
     assert len(records) == len(ref_records)

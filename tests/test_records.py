@@ -47,7 +47,7 @@ def _step_records(spec):
     rng = derive_stream(spec.master_seed, 0)
     records = []
     for _ in range(spec.iterations):
-        row = module.step(state, rng)[1]
+        row = module.step(state, rng)
         records.append(IterationRecord(*row[:5], dict(zip(module.COUNTERS, map(float, row[5:])))))
     return records
 

@@ -33,7 +33,7 @@ def serverfi_digest(params, econ, seed, iterations):
     next stream value."""
     state = serverfi.new_state(params, econ)
     rng = derive_stream(seed, 0)
-    rows = [serverfi.step(state, rng)[1] for _ in range(iterations)]
+    rows = [serverfi.step(state, rng) for _ in range(iterations)]
     digest = hashlib.sha256(repr(list(step_records(serverfi, rows))).encode())
     counts = (state.by_type - state.staked).T
     for column in (state.ids, state.productivity, state.draw_credit, counts, state.staked):
@@ -48,7 +48,7 @@ def retention_digest(params, econ, seed, iterations):
     tolerance and misses columns (with dtypes) and the next stream value."""
     state = retention.new_state(params, econ)
     rng = derive_stream(seed, 0)
-    rows = [retention.step(state, rng)[1] for _ in range(iterations)]
+    rows = [retention.step(state, rng) for _ in range(iterations)]
     digest = hashlib.sha256(repr(list(step_records(retention, rows))).encode())
     for column in (state.ids, state.productivity, state.tolerance, state.misses):
         digest.update(str(column.dtype).encode())
@@ -74,7 +74,7 @@ class TestServerFiStep:
         rng = derive_stream(0, 0)
         serverfi.step(state, rng)
         assert int(state.staked.sum()) == 0
-        record = step_record(serverfi, serverfi.step(state, rng)[1])
+        record = step_record(serverfi, serverfi.step(state, rng))
         assert int(state.staked.sum()) >= 1
         assert record.extra["nfts_minted"] >= 1
 
@@ -83,7 +83,7 @@ class TestServerFiStep:
         state = serverfi.new_state(params, EconParams())
         rng = derive_stream(1, 0)
         for i in range(1, 6):
-            record = step_record(serverfi, serverfi.step(state, rng)[1])
+            record = step_record(serverfi, serverfi.step(state, rng))
             assert record.iteration == i
             assert record.total_value == 0.0
             assert record.active_players == 0
@@ -95,7 +95,7 @@ class TestServerFiStep:
         def run():
             state = serverfi.new_state(params, econ)
             rng = derive_stream(3, 0)
-            return [serverfi.step(state, rng)[1] for _ in range(40)]
+            return [serverfi.step(state, rng) for _ in range(40)]
 
         assert run() == run()
 
@@ -106,7 +106,7 @@ class TestServerFiStep:
         state = serverfi.new_state(params, EconParams())
         rng = derive_stream(4, 0)
         for _ in range(10):
-            record = step_record(serverfi, serverfi.step(state, rng)[1])
+            record = step_record(serverfi, serverfi.step(state, rng))
             if record.extra["nfts_minted"] > 0:
                 break
             assert record.departures == 0
@@ -184,7 +184,7 @@ class TestServerFiStep:
         params = ServerFiParams(n0=30, alpha=1e300)
         state = serverfi.new_state(params, EconParams())
         rng = derive_stream(2, 0)
-        joins = [step_record(serverfi, serverfi.step(state, rng)[1]).joins for _ in range(6)]
+        joins = [step_record(serverfi, serverfi.step(state, rng)).joins for _ in range(6)]
         assert joins == [30, 0, 0, 0, 0, 0]
 
     def test_matches_scalar_reference_while_capacity_exceeds_the_population(self):
@@ -199,7 +199,7 @@ class TestServerFiStep:
         strided_lotteries = 0
         churned = False
         for _ in range(60):
-            record = step_record(serverfi, serverfi.step(state, rng)[1])
+            record = step_record(serverfi, serverfi.step(state, rng))
             # only a join grows the capacity, so the lottery saw this one
             if churned and record.extra["draws"] and state.capacity > record.active_players:
                 strided_lotteries += 1
@@ -220,7 +220,7 @@ class TestServerFiStep:
         monkeypatch.setattr(serverfi, "MAX_DRAWS_PER_ITERATION", 5)
         # at lambda 2, a credit of 10.5 buys exactly 5 draws and 12.5 buys 6
         state = one_player_state(10.5, lam=2.0)
-        record = step_record(serverfi, serverfi.step(state, derive_stream(0, 0))[1])
+        record = step_record(serverfi, serverfi.step(state, derive_stream(0, 0)))
         assert record.extra["draws"] == 5
         with pytest.raises(ValueError, match="lottery draws"):
             serverfi.step(one_player_state(12.5, lam=2.0), derive_stream(0, 0))
@@ -230,7 +230,7 @@ class TestServerFiStep:
         # so the player draws one less and keeps a credit just under lambda
         c = 664072.4089999999
         state = one_player_state(c, EconParams(mutation_sigma=0.0), lam=1.001)
-        record = step_record(serverfi, serverfi.step(state, derive_stream(0, 0))[1])
+        record = step_record(serverfi, serverfi.step(state, derive_stream(0, 0)))
         assert math.floor(c / 1.001) == 663409
         assert draws_for_contribution(0.0, c, 1.001) == (663408, 1.0009999998835846)
         assert record.extra["draws"] == 663408
@@ -245,7 +245,7 @@ class TestServerFiStep:
             productivity_init_mean=c, productivity_init_sigma=0.0, mutation_sigma=0.0
         )
         state = serverfi.new_state(params, econ)
-        record = step_record(serverfi, serverfi.step(state, derive_stream(0, 0))[1])
+        record = step_record(serverfi, serverfi.step(state, derive_stream(0, 0)))
         assert math.floor(c / lam) == 12 and c - 12 * lam >= lam
         assert draws_for_contribution(0.0, c, lam) == (13, 1.7763568394002505e-15)
         assert record.joins == 1 and state.productivity.tolist() == [c]
@@ -259,7 +259,7 @@ class TestServerFiStep:
         state.last_per_nft_reward = 4.0
         state.by_type[0, 0] = 1
         state.fragments_held = 1
-        record = step_record(serverfi, serverfi.step(state, derive_stream(0, 0))[1])
+        record = step_record(serverfi, serverfi.step(state, derive_stream(0, 0)))
         assert not should_churn(ServerFiPlayer(0, 0.01, counts=[1, 0]), 4.0, state.params)
         assert record.extra["draws"] == 0
         assert record.departures == 0 and state.ids.tolist() == [0]
@@ -311,7 +311,7 @@ class TestRetentionStep:
         params = RetentionParams(n0=5, alpha=1.02)
         state = retention.new_state(params, EconParams())
         rng = derive_stream(6, 0)
-        record = step_record(retention, retention.step(state, rng)[1])
+        record = step_record(retention, retention.step(state, rng))
         assert record.joins == 5
         assert record.extra["winner_count"] == 1
         assert record.extra["payout_total"] == pytest.approx(0.8 * record.total_value)
@@ -331,7 +331,7 @@ class TestRetentionStep:
         state = retention.new_state(params, EconParams())
         rng = derive_stream(8, 0)
         for _ in range(5):
-            record = step_record(retention, retention.step(state, rng)[1])
+            record = step_record(retention, retention.step(state, rng))
             assert record.total_value == 0.0
             assert record.active_players == 0
             assert record.extra["winner_count"] == 0
@@ -343,7 +343,7 @@ class TestRetentionStep:
         def run():
             state = retention.new_state(params, econ)
             rng = derive_stream(9, 0)
-            return [retention.step(state, rng)[1] for _ in range(40)]
+            return [retention.step(state, rng) for _ in range(40)]
 
         assert run() == run()
 
@@ -365,7 +365,7 @@ class TestRetentionStep:
         params = RetentionParams(n0=30, alpha=1e300)
         state = retention.new_state(params, EconParams())
         rng = derive_stream(2, 0)
-        joins = [step_record(retention, retention.step(state, rng)[1]).joins for _ in range(6)]
+        joins = [step_record(retention, retention.step(state, rng)).joins for _ in range(6)]
         assert joins == [30, 0, 0, 0, 0, 0]
 
     def test_largest_tolerances_are_drawn_in_range(self):
@@ -393,7 +393,7 @@ class TestRetentionStep:
 
         state = retention.new_state(params, econ)
         rng = derive_stream(seed, 0)
-        records = step_records(retention, [retention.step(state, rng)[1] for _ in range(50)])
+        records = step_records(retention, [retention.step(state, rng) for _ in range(50)])
 
         ref_records, ref_players = reference_retention_run(params, econ, seed, 50)
         assert sum(r.departures for r in records) > 0
@@ -541,7 +541,7 @@ class TestRetentionBitIdentity:
         rng = derive_stream(12, 0)
         departures = 0
         for _ in range(80):
-            departures += step_record(retention, retention.step(state, rng)[1]).departures
+            departures += step_record(retention, retention.step(state, rng)).departures
             assert (np.diff(state.ids) > 0).all()
             assert state.window_matrix.shape == (params.window, state.active_players)
         assert departures > 0
@@ -575,9 +575,9 @@ class TestRetentionCoast:
         coast_rng, step_rng = derive_stream(spec.master_seed, 1), derive_stream(spec.master_seed, 1)
         rows = np.empty((spec.iterations, len(RECORD_FIELDS) + len(retention.COUNTERS)))
         with np.errstate(over="raise", invalid="raise"):
-            _, rows[0] = retention.step(coasted, coast_rng)
+            rows[0] = retention.step(coasted, coast_rng)
             assert retention.coast(coasted, coast_rng, rows[1:]) == 11
-            expected = [retention.step(stepped, step_rng)[1] for _ in range(12)]
+            expected = [retention.step(stepped, step_rng) for _ in range(12)]
             assert rows[:12].tolist() == [list(map(float, row)) for row in expected]
             assert coasted.iteration == stepped.iteration == 12
             assert coasted.productivity.tobytes() == stepped.productivity.tobytes()
