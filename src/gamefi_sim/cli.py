@@ -19,7 +19,7 @@ import json
 import os
 import stat
 import sys
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import IO, Callable, Iterator, List, Optional, Tuple
 
 from .analysis import (
     MIN_TREND_LENGTH,
@@ -45,10 +45,16 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant that reports usage problems with exit code 1."""
+    """argparse variant: usage problems exit 1, and ``--help`` prints through ``_print``."""
 
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
+
+    def _print_message(self, message: str, file: Optional[IO[str]] = None) -> None:
+        if message and file is sys.stdout:
+            _print(message, end="")
+        else:
+            super()._print_message(message, file)
 
 
 class _IOFailure(Exception):
@@ -92,14 +98,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _print(text: str) -> None:
+def _print(text: str, end: str = "\n") -> None:
     """Print ``text`` to stdout now; a failed write (a closed pipe) is an I/O failure.
 
     After a failure fd 1 points at ``os.devnull``, so the interpreter's
     flush of stdout at exit prints nothing more.
     """
     try:
-        print(text, flush=True)
+        print(text, end=end, flush=True)
     except OSError as exc:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, fields
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -156,12 +156,25 @@ def run_once(spec: ExperimentSpec, repeat_index: int) -> RepeatRecords:
     return RepeatRecords(table, model.COUNTERS)
 
 
+def _row_means(band: np.ndarray, name: str) -> List[float]:
+    """The exact mean of each row of ``band``; a sum too large for a float is a ValueError."""
+    means: List[float] = []
+    for idx, row in enumerate(band):
+        try:
+            means.append(math.fsum(row.tolist()) / len(row))
+        except OverflowError:
+            raise ValueError(f"the mean {name} of iteration {idx + 1} overflows a float") from None
+    return means
+
+
 def aggregate(tables: Sequence[RepeatRecords]) -> AggregateSeries:
     """Pointwise mean/min/max across repeats, one RepeatRecords table each.
 
-    Means use exact compensated summation, so the outcome does not depend on
-    the order repeats are supplied in. A sum too large for a float raises
-    ValueError.
+    Each column is stacked once into an ``(iterations, repeats)`` float64
+    band. Min and max are its row extremes (NaN where a row holds one).
+    Each mean is the exact ``math.fsum`` of one row at a time, so only a
+    row becomes Python floats and the outcome does not depend on the order
+    repeats are supplied in. A sum too large for a float raises ValueError.
     """
     if not tables:
         raise ValueError("aggregate requires at least one repeat")
@@ -171,23 +184,12 @@ def aggregate(tables: Sequence[RepeatRecords]) -> AggregateSeries:
             raise ValueError(
                 f"repeat {r} has {len(table)} records, expected {length}"
             )
-    statistics = {"mean": lambda values: math.fsum(values) / len(values), "min": min, "max": max}
-    columns: Dict[str, List[float]] = {}
-    for series_field in fields(AggregateSeries):
-        statistic, attribute = series_field.name.split("_", 1)
-        # one list of plain floats per iteration, one value per repeat
-        per_iteration = np.column_stack([t.column(attribute) for t in tables]).tolist()
-        column: List[float] = []
-        for idx, values in enumerate(per_iteration):
-            try:
-                column.append(statistics[statistic](values))
-            except OverflowError:
-                raise ValueError(
-                    f"the {statistic} {attribute.replace('_', ' ')} of iteration {idx + 1} "
-                    "overflows a float"
-                ) from None
-        columns[series_field.name] = column
-    return AggregateSeries(**columns)
+    band = np.column_stack([t.column("total_value") for t in tables])
+    mean_total = _row_means(band, "total value")
+    low, high = band.min(axis=1).tolist(), band.max(axis=1).tolist()
+    del band  # one band at a time
+    band = np.column_stack([t.column("active_players") for t in tables])
+    return AggregateSeries(mean_total, low, high, _row_means(band, "active players"))
 
 
 class WorkerStartError(Exception):

@@ -320,10 +320,11 @@ def test_a_pool_that_cannot_start_a_worker_exits_three(tmp_path, fail_at):
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("command", ["oracle", "report", "simulate"])
+@pytest.mark.parametrize("command", ["oracle", "report", "simulate", "help", "simulate_help"])
 def test_closed_stdout_exits_two_with_one_line(tmp_path, capsys, command, unbuffered):
     # as in `gamefi-sim oracle ... | true`: the reader has gone before the
-    # first write, whether it comes with the print or with the flush at exit
+    # first write, whether it comes with the print or with the flush at exit,
+    # and whether the CLI or argparse (--help) writes
     config = tmp_path / "config.json"
     config.write_text(json.dumps(TINY_CONFIG), encoding="utf-8")
     series, report = tmp_path / "run.csv", tmp_path / "report.json"
@@ -335,6 +336,8 @@ def test_closed_stdout_exits_two_with_one_line(tmp_path, capsys, command, unbuff
         "report": ["report", "--in", str(series)],
         "simulate": ["simulate", "--config", str(config), "--out", str(tmp_path / "piped.csv"),
                      "--report", str(tmp_path / "piped.json")],
+        "help": ["--help"],
+        "simulate_help": ["simulate", "--help"],
     }[command]
     env = child_env()
     env.pop("PYTHONUNBUFFERED", None)

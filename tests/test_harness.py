@@ -2,6 +2,8 @@
 
 import concurrent.futures
 import dataclasses
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -304,6 +306,29 @@ class TestAggregate:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             aggregate([])
+
+    def test_peak_memory_is_a_few_bands(self):
+        # one float64 band of a column is iterations x repeats x 8 bytes; a
+        # Python float per repeat value peaked at about 9x that
+        iterations, repeats = 500, 100
+        rng = np.random.default_rng(0)
+        tables = []
+        for _ in range(repeats):
+            table = np.zeros((iterations, 5))
+            table[:, 0] = np.arange(1, iterations + 1)
+            table[:, 1] = rng.random(iterations) * 1e6
+            table[:, 2] = rng.integers(0, 10**6, iterations)
+            tables.append(RepeatRecords(table, ()))
+        aggregate(tables)  # warm caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            aggregate(tables)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        band = iterations * repeats * 8
+        assert peak <= 4 * band, f"peak {peak / band:.1f} bands"
 
 
 class TestRunExperiment:
