@@ -19,7 +19,7 @@ import json
 import os
 import stat
 import sys
-from typing import IO, Callable, Iterator, List, Optional, Tuple
+from typing import IO, Iterator, List, Optional
 
 from .analysis import (
     MIN_TREND_LENGTH,
@@ -62,12 +62,16 @@ class _IOFailure(Exception):
 
 
 @contextlib.contextmanager
-def _io_failure(prefix: str) -> Iterator[None]:
-    """Re-raise an OSError from the block as ``_IOFailure(f"{prefix}: {exc}")``."""
+def _io_failure(prefix: str, path: Optional[str] = None) -> Iterator[None]:
+    """Re-raise an OSError from the block as ``_IOFailure(f"{prefix}: {exc}")``.
+
+    If ``path`` is given, the message names it instead of the OSError's file.
+    """
     try:
         yield
     except OSError as exc:
-        raise _IOFailure(f"{prefix}: {exc}") from exc
+        named = exc if path is None else OSError(exc.errno, exc.strerror, path)
+        raise _IOFailure(f"{prefix}: {named}") from exc
 
 
 def _build_parser() -> _Parser:
@@ -82,8 +86,8 @@ def _build_parser() -> _Parser:
     simulate.add_argument("--repeats", type=int, default=None, help="override repeats")
     simulate.add_argument("--report", default=None, help="also write trend metrics as JSON")
     simulate.add_argument("--workers", type=int, default=1,
-                          help="process pool size for repeats, capped at the repeat and CPU counts "
-                               "(result is identical for any value)")
+                          help="process pool size for repeats, at most one per repeat and per CPU "
+                               "this process may run on (result is identical for any value)")
     simulate.set_defaults(run=_cmd_simulate)
 
     report = sub.add_parser("report", help="recompute trend metrics from a series CSV")
@@ -113,44 +117,10 @@ def _print(text: str, end: str = "\n") -> None:
         raise _IOFailure(f"cannot write stdout: {exc}") from exc
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
-
-
 def _temp_path(destination: str, index: int) -> str:
     """The temp file, beside ``destination``, that output ``index`` is written to."""
     folder, name = os.path.split(os.path.abspath(destination))
     return os.path.join(folder, f".{name}.{os.getpid()}.{index}.tmp")
-
-
-def _write_outputs(outputs: List[Tuple[str, Callable[[str], None]]]) -> None:
-    """Write each ``(destination, write)`` output whole, or leave none.
-
-    Every ``write`` fills a fresh temp file in its destination's directory;
-    only when all of them succeed are they renamed over their destinations.
-    If a write or a rename fails, the temp files and any output already
-    renamed are removed, and the OSError is re-raised naming the destination.
-    """
-    temps: List[str] = []
-    placed: List[str] = []
-    destination = ""
-    try:
-        for index, (destination, write) in enumerate(outputs):
-            temps.append(_temp_path(destination, index))
-            write(temps[-1])
-        for temp, (destination, _) in zip(temps, outputs):
-            os.replace(temp, destination)
-            placed.append(destination)
-    except BaseException as exc:
-        for path in temps + placed:
-            try:
-                os.remove(path)
-            except OSError:
-                pass
-        if isinstance(exc, OSError):
-            raise OSError(exc.errno, exc.strerror, destination) from exc
-        raise
 
 
 def _file_type(path: str, follow_symlinks: bool = True) -> int:
@@ -177,50 +147,63 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
         raise ConfigError(
             f"--report requires at least {MIN_TREND_LENGTH} iterations, got {spec.iterations}"
         )
-    for index, (flag, path) in enumerate((("--out", args.out), ("--report", args.report))):
-        if path is None:
-            continue
-        # its rename would put a regular file in place of it, or of the link to it
-        if _file_type(path) in (stat.S_IFIFO, stat.S_IFSOCK, stat.S_IFCHR, stat.S_IFBLK):
-            raise ConfigError(f"{flag} names {path}, which is a FIFO, socket or device")
-        # refused before the run: an empty path, a directory (not a link to
-        # one), and a directory that is missing or refuses the temp file; the
-        # probe comes last, as for "" or "." it would go in the parent directory
-        with _io_failure("cannot write output"):
-            if not path:
-                raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
-            if _file_type(path, follow_symlinks=False) == stat.S_IFDIR:
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-            # a trailing separator names a directory, which the rename cannot create
-            if path.endswith(tuple(filter(None, (os.sep, os.altsep)))):
-                raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
-            temp = _temp_path(path, index)
-            try:
-                os.close(os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
-                os.remove(temp)
-            except OSError as exc:
-                raise OSError(exc.errno, exc.strerror, path) from exc
-    # a rename would replace the config, or the second the first output
-    flags = {}
-    for flag, path in (("--config", args.config), ("--out", args.out), ("--report", args.report)):
-        if path is None:
-            continue
-        real = os.path.realpath(path)
-        if real in flags:
-            raise ConfigError(f"{flag} must name a different file than {flags[real]}")
-        flags[real] = flag
-    # run_experiment refuses --workers < 1 before it simulates; a run can
-    # still fail validation midway, e.g. on too many lottery draws or a float
-    # overflow, and so can its mean or trend
-    series, _ = run_experiment(spec, workers=args.workers)
-    outputs: List[Tuple[str, Callable[[str], None]]] = [
-        (args.out, lambda path: write_series_csv(series, path))
-    ]
-    if args.report is not None:
-        payload = json.dumps(trend_report(series).to_dict(), indent=2) + "\n"
-        outputs.append((args.report, lambda path: _write_text(path, payload)))
-    with _io_failure("cannot write output"):
-        _write_outputs(outputs)
+    outputs = [(flag, path) for flag, path in (("--out", args.out), ("--report", args.report))
+               if path is not None]
+    # each output is reserved before the run: its temp file is created here,
+    # exclusively, so nothing planted at that name later is followed; after
+    # the run it is filled and renamed into place. Any failure, a refusal,
+    # the run, a write, a rename or Ctrl-C, removes the temp files and the
+    # outputs already renamed, so an output is left whole or not at all
+    temps: List[str] = []
+    placed: List[str] = []
+    try:
+        for index, (flag, path) in enumerate(outputs):
+            # its rename would put a regular file in place of it, or of the link to it
+            if _file_type(path) in (stat.S_IFIFO, stat.S_IFSOCK, stat.S_IFCHR, stat.S_IFBLK):
+                raise ConfigError(f"{flag} names {path}, which is a FIFO, socket or device")
+            # refused before the run: an empty path, a directory (not a link
+            # to one), and a directory that is missing or refuses the temp
+            # file; the reservation comes last, as for "" or "." it would go
+            # in the parent directory
+            with _io_failure("cannot write output", path):
+                if not path:
+                    raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+                if _file_type(path, follow_symlinks=False) == stat.S_IFDIR:
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+                # a trailing separator names a directory, which the rename cannot create
+                if path.endswith(tuple(filter(None, (os.sep, os.altsep)))):
+                    raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
+                temp = _temp_path(path, index)
+                os.close(os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+                temps.append(temp)
+        # a rename would replace the config, or the second the first output
+        flags = {}
+        for flag, path in [("--config", args.config)] + outputs:
+            real = os.path.realpath(path)
+            if real in flags:
+                raise ConfigError(f"{flag} must name a different file than {flags[real]}")
+            flags[real] = flag
+        # run_experiment refuses --workers < 1 before it simulates; a run can
+        # still fail validation midway, e.g. on too many lottery draws or a
+        # float overflow, and so can its mean or trend
+        series, _ = run_experiment(spec, workers=args.workers)
+        if args.report is not None:
+            payload = json.dumps(trend_report(series).to_dict(), indent=2) + "\n"
+        with _io_failure("cannot write output", args.out):
+            write_series_csv(series, temps[0])
+        if args.report is not None:
+            with _io_failure("cannot write output", args.report):
+                with open(temps[1], "w", encoding="utf-8") as handle:
+                    handle.write(payload)
+        for temp, (_, path) in zip(temps, outputs):
+            with _io_failure("cannot write output", path):
+                os.replace(temp, path)
+            placed.append(path)
+    except BaseException:
+        for path in temps[len(placed):] + placed:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
     # the outputs are in place, so a failed write to stdout leaves them
     _print(
         f"wrote {args.out} (model={spec.model}, "

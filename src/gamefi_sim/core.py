@@ -160,9 +160,10 @@ class Population:
         """An empty store of ``ids``, ``productivity`` and the model's empty ``columns``."""
         self.params, self.econ = params, econ
         self.iteration = self.next_id = self.capacity = 0
-        self._buffers: Dict[str, np.ndarray] = {}
-        self._spares: Dict[str, np.ndarray] = {}
         columns = dict(ids=np.zeros(0, dtype=np.int64), productivity=np.zeros(0), **columns)
+        # the empty columns are the first buffers, so a cohort of 0 can join
+        self._buffers: Dict[str, np.ndarray] = columns
+        self._spares: Dict[str, np.ndarray] = {}
         self._names = tuple(columns)
         for name, column in columns.items():
             setattr(self, name, column)

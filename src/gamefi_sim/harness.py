@@ -212,15 +212,16 @@ def run_experiment(
     each repeat back as its table; scheduling cannot change the result
     because each repeat owns an independent stream and aggregation is keyed
     by repeat index. The pool has at most one process per repeat and per
-    CPU: more would only wait. If the run fails or is interrupted, the
-    pool cancels its pending repeats and waits for the running ones before
-    the exception propagates; its workers ignore SIGINT. If the pool cannot
-    start a worker, the workers it started are stopped and WorkerStartError
-    is raised.
+    CPU this process may run on: more would only wait. If the run fails or
+    is interrupted, the pool cancels its pending repeats and waits for the
+    running ones before the exception propagates; its workers ignore
+    SIGINT. If the pool cannot start a worker, the workers it started are
+    stopped and WorkerStartError is raised.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    workers = min(workers, spec.repeats, os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, spec.repeats, cpus or 1)
     jobs = [(spec, r) for r in range(spec.repeats)]
     if workers == 1:
         results = list(map(_run_repeat, jobs))

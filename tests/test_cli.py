@@ -5,11 +5,12 @@ import errno
 import json
 import os
 import stat
+from concurrent.futures import BrokenExecutor
 
 import pytest
 
 from gamefi_sim.analysis import read_series_csv, trend_report
-from gamefi_sim import cli
+from gamefi_sim import cli, harness
 from gamefi_sim.cli import cli_main
 from gamefi_sim.config import parse_config
 from gamefi_sim.harness import run_experiment
@@ -393,7 +394,7 @@ class TestAtomicOutputs:
     def test_empty_or_dot_output_exits_two_before_probing_or_simulating(
         self, config_path, tmp_path, capsys, monkeypatch, flags, path, message
     ):
-        # the temp-file probe of each would go in the parent of the
+        # the temp file reserved for each would go in the parent of the
         # directory the path names ("" names the working directory)
         def run_experiment(*args, **kwargs):
             raise AssertionError("simulated before checking the output path")
@@ -418,7 +419,7 @@ class TestAtomicOutputs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: cannot write output: {message}"]
-        # only the --out probe, when --report alone is refused
+        # only the --out reservation, when --report alone is refused
         assert created == ([] if "--out" in flags else [cli._temp_path(paths["--out"], 0)])
         assert list(work.iterdir()) == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "work"]
@@ -561,6 +562,78 @@ class TestAtomicOutputs:
             "report.json",
             "run.csv",
         ]
+
+
+    def test_temp_file_is_reserved_for_the_whole_run(
+        self, config_path, tmp_path, capsys, monkeypatch
+    ):
+        # a symlink planted at the temp file's name during the run would
+        # send the CSV to its target
+        out = tmp_path / "run.csv"
+        victim = tmp_path / "victim.txt"
+        victim.write_text("victim\n", encoding="utf-8")
+        temp = cli._temp_path(str(out), 0)
+
+        refused = []
+
+        def plant_a_link_then_run(*args, **kwargs):
+            try:
+                os.symlink(victim, temp)
+            except FileExistsError:
+                refused.append(stat.S_ISREG(os.lstat(temp).st_mode))
+            return run_experiment(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_experiment", plant_a_link_then_run)
+        assert cli_main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
+        assert victim.read_text(encoding="utf-8") == "victim\n"
+        # the name was taken, by a regular file
+        assert refused == [True]
+        assert stat.S_ISREG(os.lstat(out).st_mode) and len(read_series_csv(out)) == 25
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ["config.json", "run.csv", "victim.txt"]
+
+    def test_outputs_have_the_mode_of_a_new_file(self, config_path, tmp_path):
+        umask = os.umask(0)
+        os.umask(umask)
+        out = tmp_path / "run.csv"
+        report = tmp_path / "report.json"
+        assert simulate_with_report(config_path, out, report) == 0
+        for path in (out, report):
+            assert stat.S_IMODE(os.stat(path).st_mode) == 0o666 & ~umask
+
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (ValueError("a run that fails validation"), 1),
+            (KeyboardInterrupt(), 130),
+            (BrokenExecutor("a worker died"), 3),
+        ],
+        ids=["ValueError", "KeyboardInterrupt", "BrokenExecutor"],
+    )
+    def test_run_that_fails_partway_leaves_no_output_and_no_temp_file(
+        self, config_path, tmp_path, capsys, monkeypatch, error, code
+    ):
+        out = tmp_path / "run.csv"
+        out.write_text("previous\n", encoding="utf-8")
+        report = tmp_path / "report.json"
+        inner = harness.run_once
+        reserved = []
+
+        def fail_in_repeat_one(spec, repeat_index):
+            if repeat_index == 1:
+                reserved.extend(p.name for p in tmp_path.glob(".*.tmp"))
+                raise error
+            return inner(spec, repeat_index)
+
+        monkeypatch.setattr(harness, "run_once", fail_in_repeat_one)
+        assert simulate_with_report(config_path, out, report) == code
+        assert len(error_lines(capsys.readouterr().err)) == 1
+        assert sorted(reserved) == sorted(
+            os.path.basename(cli._temp_path(str(path), index))
+            for index, path in enumerate((out, report))
+        )
+        assert out.read_text(encoding="utf-8") == "previous\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "run.csv"]
 
 
 class TestReport:

@@ -7,6 +7,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from gamefi_sim import core
 from gamefi_sim.core import (
@@ -191,6 +194,104 @@ class TestPopulation:
         # the spare bank the second keep allocated holds the new capacity too
         store.keep(np.ones(4, dtype=bool))
         assert store.buffer("grid").shape == (3, 8) and store.grid.tolist() == [[2, 3, 9, 9]] * 3
+
+
+class PopulationMachine(RuleBasedStateMachine):
+    """A Store driven by joins, keeps, tallies and writes, against a plain model.
+
+    The model is a list of per-player records in id order; after every rule
+    each column must equal it, be the front of its backing buffer, and share
+    no memory with a spare buffer, and the store must hold no more bytes
+    than its per-player budget allows for the most players it ever held.
+    """
+
+    NAMES = ("ids", "productivity", "score", "grid")
+
+    def __init__(self):
+        super().__init__()
+        self.store = Store(None, EconParams())
+        self.players = []
+        self.peak = 0
+
+    @rule(joins=st.integers(0, 300), scored=st.booleans())
+    def join(self, joins, scored):
+        first = self.store.next_id
+        productivity = np.arange(first, first + joins) + 0.25
+        score = -productivity if scored else np.zeros(joins)
+        self.store.join(productivity, **({"score": score} if scored else {}))
+        for j in range(joins):
+            self.players.append(
+                dict(ids=first + j, productivity=productivity[j], score=score[j], grid=[0, 0, 0])
+            )
+        self.peak = max(self.peak, len(self.players))
+
+    @rule(kind=st.sampled_from(["none", "all", "some"]), seed=st.integers(0, 2**16))
+    def keep(self, kind, seed):
+        n = len(self.players)
+        if kind == "some":
+            mask = np.random.default_rng(seed).random(n) < 0.6
+        else:
+            mask = np.full(n, kind == "all")
+        self.store.keep(mask)
+        self.players = [p for p, kept in zip(self.players, mask.tolist()) if kept]
+
+    @precondition(lambda self: self.players)
+    @rule(data=st.data())
+    def tally(self, data):
+        n = len(self.players)
+        hits = data.draw(
+            st.lists(st.tuples(st.integers(0, 2), st.integers(0, n - 1)), min_size=1, max_size=20)
+        )
+        # every hit is at least twice, some three times or more
+        hits += hits[: data.draw(st.integers(1, len(hits)))]
+        rows = np.array([row for row, _ in hits], dtype=np.int64)
+        self.store.tally("grid", rows, np.array([player for _, player in hits]))
+        for row, player in hits:
+            self.players[player]["grid"][row] += 1
+
+    @rule(shift=st.integers(-5, 5))
+    def write(self, shift):
+        # a step writes into a column rather than rebinding it
+        self.store.score[...] = np.arange(len(self.players)) + shift
+        for j, player in enumerate(self.players):
+            player["score"] = float(j + shift)
+
+    @rule(name=st.sampled_from(NAMES))
+    def read(self, name):
+        expected = [p[name] for p in self.players]
+        if name == "grid":
+            expected = [list(row) for row in zip(*expected)] or [[], [], []]
+        assert getattr(self.store, name).tolist() == expected
+
+    @invariant()
+    def columns_equal_the_model(self):
+        for name in self.NAMES:
+            self.read(name)
+        assert (np.diff(self.store.ids) > 0).all()
+
+    @invariant()
+    def columns_are_the_front_of_their_buffers(self):
+        store, n = self.store, len(self.players)
+        for name in self.NAMES:
+            column, buffer = getattr(store, name), store.buffer(name)
+            assert buffer.flags.c_contiguous and buffer.shape[-1] == store.capacity
+            front = buffer[..., :n]
+            assert (column.shape, column.strides) == (front.shape, front.strides)
+            assert column.__array_interface__["data"] == front.__array_interface__["data"]
+
+    @invariant()
+    def store_keeps_within_its_budget(self):
+        assert self.store.nbytes <= self.store.bytes_per_player * self.peak
+
+    @invariant()
+    def no_column_shares_memory_with_a_spare(self):
+        for spare in self.store._spares.values():
+            for name in self.NAMES:
+                assert not np.shares_memory(getattr(self.store, name), spare)
+
+
+TestPopulationMachine = PopulationMachine.TestCase
+TestPopulationMachine.settings = settings(max_examples=100, stateful_step_count=30, deadline=None)
 
 
 class TestCohortSize:

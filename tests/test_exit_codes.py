@@ -29,6 +29,10 @@ from gamefi_sim.cli import cli_main
 from gamefi_sim.core import derive_stream
 
 TINY_CONFIG = {"model": "retention", "iterations": 12, "repeats": 2, "master_seed": 3}
+# the CPUs this process may run on, which run_experiment caps its pool at
+USABLE_CPUS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
 
 
 def run(argv, capsys):
@@ -182,7 +186,7 @@ class TestInterruptAndBrokenPool:
         with pytest.raises(RuntimeError, match="a defect"):
             self.simulate(tmp_path, capsys)
 
-    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs at least 2 CPUs")
+    @pytest.mark.skipif(USABLE_CPUS < 2, reason="a pool needs at least 2 usable CPUs")
     def test_worker_that_dies_breaks_the_pool_and_exits_three(self, tmp_path, capsys, monkeypatch):
         # pool workers fork, so they inherit the patched run_once
         inner = harness.run_once
@@ -199,7 +203,7 @@ class TestInterruptAndBrokenPool:
         assert err.startswith("error: a worker process died: ")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
-    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs at least 2 CPUs")
+    @pytest.mark.skipif(USABLE_CPUS < 2, reason="a pool needs at least 2 usable CPUs")
     def test_interrupt_cancels_the_pending_repeats(self, tmp_path, capsys, monkeypatch):
         # repeat 0 is interrupted at once; every other repeat logs its start
         # and takes a while, so without the cancel all 39 of them would run
@@ -245,7 +249,7 @@ cli.main()
 """
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs at least 2 CPUs")
+@pytest.mark.skipif(USABLE_CPUS < 2, reason="a pool needs at least 2 usable CPUs")
 def test_ctrl_c_to_a_pooled_run_prints_one_line(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(TINY_CONFIG), encoding="utf-8")
@@ -290,7 +294,7 @@ cli.main()
 """
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs at least 2 CPUs")
+@pytest.mark.skipif(USABLE_CPUS < 2, reason="a pool needs at least 2 usable CPUs")
 @pytest.mark.parametrize("fail_at", [1, 2], ids=["first_fork", "second_fork"])
 def test_a_pool_that_cannot_start_a_worker_exits_three(tmp_path, fail_at):
     config = tmp_path / "config.json"

@@ -367,9 +367,12 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="workers"):
             run_experiment(SMALL_SERVERFI, workers=0)
 
-    @pytest.mark.parametrize("repeats, cpus, expected", [(5, 3, 3), (2, 8, 2)])
+    # an affinity mask can allow fewer CPUs than the machine has
+    @pytest.mark.parametrize(
+        "repeats, cpus, usable, expected", [(5, 3, 3, 3), (2, 8, 8, 2), (5, 8, 3, 3)]
+    )
     def test_pool_has_at_most_one_process_per_repeat_and_cpu(
-        self, monkeypatch, repeats, cpus, expected
+        self, monkeypatch, repeats, cpus, usable, expected
     ):
         sizes = []
 
@@ -388,6 +391,8 @@ class TestRunExperiment:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(usable)),
+                            raising=False)
         spec = dataclasses.replace(SMALL_RETENTION, repeats=repeats)
         assert run_experiment(spec, workers=2**64) == run_experiment(spec)
         assert sizes == [expected]

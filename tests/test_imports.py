@@ -17,6 +17,10 @@ import pytest
 import gamefi_sim
 
 SRC = str(Path(gamefi_sim.__file__).resolve().parent.parent)
+# the CPUs this process may run on, which run_experiment caps its pool at
+USABLE_CPUS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
 
 SERIAL_RUN = """
 import sys
@@ -61,7 +65,7 @@ def test_serial_run_does_not_load_the_process_pool():
     assert run_fresh(SERIAL_RUN).strip() == "[]"
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs at least 2 CPUs")
+@pytest.mark.skipif(USABLE_CPUS < 2, reason="a pool needs at least 2 usable CPUs")
 def test_pool_workers_start_with_numpy_random_imported(tmp_path):
     log = tmp_path / "probe.log"
     parent_pid, parent_has_random = run_fresh(POOLED_RUN, str(log)).split()
