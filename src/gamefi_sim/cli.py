@@ -117,16 +117,26 @@ def _print(text: str, end: str = "\n") -> None:
         raise _IOFailure(f"cannot write stdout: {exc}") from exc
 
 
-def _temp_path(destination: str, index: int) -> str:
-    """The temp file, beside ``destination``, that output ``index`` is written to."""
-    folder, name = os.path.split(os.path.abspath(destination))
-    return os.path.join(folder, f".{name}.{os.getpid()}.{index}.tmp")
+def _reserve(destination: str) -> str:
+    """Create the first free ``.gamefi-sim.N.tmp`` beside ``destination``; return its path.
+
+    A taken name, such as a killed run's leftover, is passed over, never opened
+    or removed; the name is as short whatever the destination's name is.
+    """
+    folder = os.path.dirname(os.path.abspath(destination))
+    attempt = 0
+    while True:
+        temp = os.path.join(folder, f".gamefi-sim.{attempt}.tmp")
+        with contextlib.suppress(FileExistsError):
+            os.close(os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+            return temp
+        attempt += 1
 
 
-def _file_type(path: str, follow_symlinks: bool = True) -> int:
+def _file_type(path: str) -> int:
     """The ``S_IFMT`` bits of ``path``'s mode, or 0 if it cannot be stat'ed."""
     try:
-        return stat.S_IFMT(os.stat(path, follow_symlinks=follow_symlinks).st_mode)
+        return stat.S_IFMT(os.stat(path).st_mode)
     except OSError:
         return 0
 
@@ -157,7 +167,7 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     temps: List[str] = []
     placed: List[str] = []
     try:
-        for index, (flag, path) in enumerate(outputs):
+        for flag, path in outputs:
             # its rename would put a regular file in place of it, or of the link to it
             if _file_type(path) in (stat.S_IFIFO, stat.S_IFSOCK, stat.S_IFCHR, stat.S_IFBLK):
                 raise ConfigError(f"{flag} names {path}, which is a FIFO, socket or device")
@@ -168,14 +178,14 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
             with _io_failure("cannot write output", path):
                 if not path:
                     raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
-                if _file_type(path, follow_symlinks=False) == stat.S_IFDIR:
-                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+                # lstat also refuses a name too long for its directory, as the rename would
+                with contextlib.suppress(FileNotFoundError):
+                    if stat.S_ISDIR(os.lstat(path).st_mode):
+                        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
                 # a trailing separator names a directory, which the rename cannot create
                 if path.endswith(tuple(filter(None, (os.sep, os.altsep)))):
                     raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
-                temp = _temp_path(path, index)
-                os.close(os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
-                temps.append(temp)
+                temps.append(_reserve(path))
         # a rename would replace the config, or the second the first output
         flags = {}
         for flag, path in [("--config", args.config)] + outputs:

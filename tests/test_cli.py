@@ -222,7 +222,8 @@ class TestRuntimeGuards:
         assert code == 1
         assert error_lines(err) == err.splitlines()
         assert "econ.productivity_init_sigma" in err
-        assert not out.exists()
+        # the run failed after each output's temp file was reserved
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize(
@@ -420,7 +421,7 @@ class TestAtomicOutputs:
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: cannot write output: {message}"]
         # only the --out reservation, when --report alone is refused
-        assert created == ([] if "--out" in flags else [cli._temp_path(paths["--out"], 0)])
+        assert created == ([] if "--out" in flags else [str(tmp_path / ".gamefi-sim.0.tmp")])
         assert list(work.iterdir()) == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "work"]
 
@@ -550,19 +551,77 @@ class TestAtomicOutputs:
         assert out.read_text(encoding="utf-8") == "previous\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "run.csv"]
 
-    def test_success_replaces_outputs_and_leaves_no_temp_files(self, config_path, tmp_path):
+    @pytest.mark.parametrize("leftover", [None, "file", "link"])
+    def test_success_replaces_outputs_and_leaves_no_temp_files(
+        self, config_path, tmp_path, monkeypatch, leftover
+    ):
         out = tmp_path / "run.csv"
         report = tmp_path / "report.json"
+        victim = tmp_path / "victim.txt"
+        victim.write_text("victim\n", encoding="utf-8")
+        left = []
+        if leftover:
+            # a run killed outright leaves its temp files, at the names the
+            # next run of the same process id tries first; that run passes
+            # over them, and never opens, follows or removes one
+            def note_the_temp_files(*args, **kwargs):
+                left.extend(tmp_path.glob(".*.tmp"))
+                return run_experiment(*args, **kwargs)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "run_experiment", note_the_temp_files)
+                assert simulate_with_report(config_path, out, report) == 0
+            report.unlink()
+            for temp in left:
+                if leftover == "file":
+                    temp.write_text("leftover\n", encoding="utf-8")
+                else:
+                    temp.symlink_to(victim)
         out.write_text("previous\n", encoding="utf-8")
         assert simulate_with_report(config_path, out, report) == 0
         assert len(read_series_csv(out)) == 25
         assert json.loads(report.read_text(encoding="utf-8"))["peak_iteration"] >= 1
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "config.json",
-            "report.json",
-            "run.csv",
-        ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["config.json", "report.json", "run.csv", "victim.txt"] + [p.name for p in left]
+        )
+        assert len(left) == (2 if leftover else 0)
+        for temp in left:
+            if leftover == "file":
+                assert temp.read_text(encoding="utf-8") == "leftover\n"
+            else:
+                assert os.readlink(temp) == str(victim)
+        assert victim.read_text(encoding="utf-8") == "victim\n"
 
+    @pytest.mark.parametrize("flag", ["--out", "--report"])
+    def test_output_name_of_name_max_bytes_runs_and_a_longer_one_exits_two_before_simulating(
+        self, config_path, tmp_path, capsys, monkeypatch, flag
+    ):
+        # the temp file's name fits wherever the output's does; a name one
+        # byte too long is refused before the run, as its rename would be
+        def run_experiment(*args, **kwargs):
+            raise AssertionError("simulated before checking the name's length")
+
+        name_max = os.pathconf(tmp_path, "PC_NAME_MAX")
+        paths = {"--out": tmp_path / "run.csv", "--report": tmp_path / "report.json"}
+        paths[flag] = tmp_path / ("x" * (name_max + 1))
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "run_experiment", run_experiment)
+            assert simulate_with_report(config_path, paths["--out"], paths["--report"]) == 2
+        captured = capsys.readouterr()
+        reason = f"[Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}"
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: cannot write output: {reason}: '{paths[flag]}'"
+        ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+        paths[flag] = tmp_path / ("x" * name_max)
+        paths[flag].write_text("previous\n", encoding="utf-8")
+        assert simulate_with_report(config_path, paths["--out"], paths["--report"]) == 0
+        assert paths[flag].read_text(encoding="utf-8") != "previous\n"
+        assert len(read_series_csv(paths["--out"])) == 25
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["config.json"] + [path.name for path in paths.values()]
+        )
 
     def test_temp_file_is_reserved_for_the_whole_run(
         self, config_path, tmp_path, capsys, monkeypatch
@@ -572,7 +631,7 @@ class TestAtomicOutputs:
         out = tmp_path / "run.csv"
         victim = tmp_path / "victim.txt"
         victim.write_text("victim\n", encoding="utf-8")
-        temp = cli._temp_path(str(out), 0)
+        temp = tmp_path / ".gamefi-sim.0.tmp"
 
         refused = []
 
@@ -628,10 +687,7 @@ class TestAtomicOutputs:
         monkeypatch.setattr(harness, "run_once", fail_in_repeat_one)
         assert simulate_with_report(config_path, out, report) == code
         assert len(error_lines(capsys.readouterr().err)) == 1
-        assert sorted(reserved) == sorted(
-            os.path.basename(cli._temp_path(str(path), index))
-            for index, path in enumerate((out, report))
-        )
+        assert sorted(reserved) == [".gamefi-sim.0.tmp", ".gamefi-sim.1.tmp"]
         assert out.read_text(encoding="utf-8") == "previous\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "run.csv"]
 

@@ -323,6 +323,31 @@ def test_a_pool_that_cannot_start_a_worker_exits_three(tmp_path, fail_at):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
+def test_each_command_run_as_a_module_exits_zero(tmp_path):
+    # through main() and its sys.exit, in a fresh interpreter
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TINY_CONFIG), encoding="utf-8")
+    series, report = tmp_path / "run.csv", tmp_path / "report.json"
+    commands = [
+        ["simulate", "--config", str(config), "--out", str(series), "--report", str(report)],
+        ["report", "--in", str(series)],
+        ["oracle", "--k", "4", "--trials", "1000"],
+    ]
+    printed = []
+    for argv in commands:
+        process = subprocess.run(
+            [sys.executable, "-m", "gamefi_sim.cli", *argv],
+            env=child_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert (process.returncode, process.stderr) == (0, "")
+        printed.append(process.stdout)
+    assert printed[0] == f"wrote {series} (model=retention, 12 iterations x 2 repeats, seed=3)\n"
+    # the CSV holds 6 significant digits, so the recomputed metrics may differ in the last places
+    assert json.loads(printed[1]).keys() == json.loads(report.read_text(encoding="utf-8")).keys()
+    assert printed[2].startswith("analytic_cost=")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "report.json", "run.csv"]
+
+
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("command", ["oracle", "report", "simulate", "help", "simulate_help"])
 def test_closed_stdout_exits_two_with_one_line(tmp_path, capsys, command, unbuffered):

@@ -37,6 +37,15 @@ SMALL_RETENTION = ExperimentSpec(
     master_seed=42,
 )
 
+# a run that coasts through its one-player tail, and a crowd whose ranking
+# selects among tens of thousands of players
+COAST_RETENTION = ExperimentSpec(
+    model="retention", retention=RetentionParams(n0=1, alpha=2.0), iterations=60, repeats=3
+)
+CROWD_RETENTION = ExperimentSpec(
+    model="retention", retention=RetentionParams(n0=5000), iterations=40, repeats=2
+)
+
 
 INVALID_SPECS = [
     (dict(model="bogus"), "model"),
@@ -338,7 +347,9 @@ class TestRunExperiment:
         assert results == [run_once(spec, r) for r in range(spec.repeats)]
         assert series == aggregate(results)
 
-    @pytest.mark.parametrize("spec", [SMALL_SERVERFI, SMALL_RETENTION])
+    @pytest.mark.parametrize(
+        "spec", [SMALL_SERVERFI, SMALL_RETENTION, COAST_RETENTION, CROWD_RETENTION]
+    )
     def test_serial_and_parallel_identical(self, spec):
         serial, raw_serial = run_experiment(spec, workers=1)
         parallel, raw_parallel = run_experiment(spec, workers=2)
