@@ -90,7 +90,11 @@ def _build_parser() -> _Parser:
                                "this process may run on (result is identical for any value)")
     simulate.set_defaults(run=_cmd_simulate)
 
-    report = sub.add_parser("report", help="recompute trend metrics from a series CSV")
+    report = sub.add_parser(
+        "report", help="recompute trend metrics from a series CSV",
+        description="Recompute trend metrics from a series CSV. They are computed from the "
+                    "CSV's values, rounded to 6 significant digits, so they can differ from "
+                    "the JSON that simulate --report wrote from the unrounded series.")
     report.add_argument("--in", dest="source", required=True, help="path to a series CSV")
     report.set_defaults(run=_cmd_report)
 
@@ -121,9 +125,11 @@ def _reserve(destination: str) -> str:
     """Create the first free ``.gamefi-sim.N.tmp`` beside ``destination``; return its path.
 
     A taken name, such as a killed run's leftover, is passed over, never opened
-    or removed; the name is as short whatever the destination's name is.
+    or removed; the name is as short whatever the destination's name is. The
+    directory is spelled as ``destination`` spells it, so a relative output
+    needs no absolute path, which a deep working directory could make too long.
     """
-    folder = os.path.dirname(os.path.abspath(destination))
+    folder = os.path.dirname(destination)
     attempt = 0
     while True:
         temp = os.path.join(folder, f".gamefi-sim.{attempt}.tmp")
@@ -174,7 +180,7 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
             # refused before the run: an empty path, a directory (not a link
             # to one), and a directory that is missing or refuses the temp
             # file; the reservation comes last, as for "" or "." it would go
-            # in the parent directory
+            # in the working directory
             with _io_failure("cannot write output", path):
                 if not path:
                     raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)

@@ -149,7 +149,10 @@ class Population:
     are full, doubling them. :meth:`keep` compacts the survivors into a
     spare bank of buffers, allocated once per capacity, and swaps the two
     banks. So a store allocates up to :data:`STORE_FACTOR` entries of each
-    column per player it ever held at once. Two rules follow. A 2-D column
+    column per player it ever held at once. A growing join drops the spares
+    and moves one column at a time, so it holds the new buffers and at most
+    one old column, not both banks; the buffers, the copy order and every
+    value are as if all were moved at once. Two rules follow. A 2-D column
     is not C-contiguous while ``capacity > n``, so ``column.reshape(-1)``
     is a copy and a scatter into it is lost: scatter through
     :meth:`tally`. And a step writes new values into a column
@@ -226,7 +229,11 @@ class Population:
         self._buffers, self._spares = spares, self._buffers
 
     def _grow(self, needed: int) -> None:
-        """Move every column into buffers of twice the capacity, or of ``needed`` if more."""
+        """Move every column into buffers of twice the capacity, or of ``needed`` if more.
+
+        Each column is rebound as soon as it is copied, which frees its old
+        buffer before the next column's new one is allocated.
+        """
         self.capacity = max(needed, 2 * self.capacity)
         self._spares.clear()
         for name in self._names:
@@ -234,6 +241,7 @@ class Population:
             buffer = np.empty(column.shape[:-1] + (self.capacity,), column.dtype)
             buffer[..., : column.shape[-1]] = column
             self._buffers[name] = buffer
+            setattr(self, name, buffer[..., : column.shape[-1]])
 
 
 def cohort_size(iteration: int, n0: int, alpha: float) -> int:

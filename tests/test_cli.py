@@ -623,6 +623,25 @@ class TestAtomicOutputs:
             ["config.json"] + [path.name for path in paths.values()]
         )
 
+    def test_relative_outputs_from_a_working_directory_longer_than_path_max_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the temp file is spelled as the output is, relative to the working
+        # directory, so its absolute path's length does not matter
+        monkeypatch.chdir(tmp_path)
+        name = "d" * min(250, os.pathconf(tmp_path, "PC_NAME_MAX"))
+        for _ in range(os.pathconf(tmp_path, "PC_PATH_MAX") // len(name) + 1):
+            os.mkdir(name)
+            os.chdir(name)
+        assert len(os.getcwd()) > os.pathconf(".", "PC_PATH_MAX")
+        with open("c.json", "w", encoding="utf-8") as handle:
+            json.dump(SMALL_CONFIG, handle)
+        argv = ["simulate", "--config", "c.json", "--out", "run.csv", "--report", "report.json"]
+        assert cli_main(argv) == 0
+        assert capsys.readouterr().err == ""
+        assert sorted(os.listdir(".")) == ["c.json", "report.json", "run.csv"]
+        assert len(read_series_csv("run.csv")) == 25
+
     def test_temp_file_is_reserved_for_the_whole_run(
         self, config_path, tmp_path, capsys, monkeypatch
     ):
@@ -693,6 +712,12 @@ class TestAtomicOutputs:
 
 
 class TestReport:
+    def test_help_says_the_metrics_come_from_rounded_values(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["report", "--help"])
+        assert exit_info.value.code == 0
+        assert "rounded to 6 significant digits" in " ".join(capsys.readouterr().out.split())
+
     def test_recomputes_trend_from_csv(self, config_path, tmp_path, capsys):
         out = tmp_path / "run.csv"
         cli_main(["simulate", "--config", str(config_path), "--out", str(out)])

@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from gamefi_sim import core
+from gamefi_sim import core, retention, serverfi
 from gamefi_sim.core import (
     EconParams,
     Population,
@@ -194,6 +195,34 @@ class TestPopulation:
         # the spare bank the second keep allocated holds the new capacity too
         store.keep(np.ones(4, dtype=bool))
         assert store.buffer("grid").shape == (3, 8) and store.grid.tolist() == [[2, 3, 9, 9]] * 3
+
+    @pytest.mark.parametrize(
+        "module, params",
+        [(serverfi, serverfi.ServerFiParams()), (retention, retention.RetentionParams())],
+        ids=["serverfi", "retention"],
+    )
+    def test_a_growing_join_holds_one_old_column_at_a_time(self, module, params):
+        # a full store of 4096 players, with its spare bank, grows to 8192:
+        # at its peak the join holds the new buffers, one old column and the
+        # cohort's productivity and ids
+        tracemalloc.start()
+        try:
+            state = module.new_state(params, EconParams())
+            state.join(np.ones(4096))
+            state.keep(np.ones(4096, dtype=bool))
+            names = [name for name, value in vars(state).items() if isinstance(value, np.ndarray)]
+            largest_old = max(state.buffer(name).nbytes for name in names)
+            cohort = np.ones(1024)
+            held = state.nbytes
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            state.join(cohort)
+            # the traced peak, less what was traced outside the store before
+            peak = tracemalloc.get_traced_memory()[1] - (before - held)
+        finally:
+            tracemalloc.stop()
+        assert state.capacity == 8192 and state.active_players == 5120
+        assert peak <= state.nbytes + largest_old + 2 * cohort.nbytes, (peak, state.nbytes)
 
 
 class PopulationMachine(RuleBasedStateMachine):
