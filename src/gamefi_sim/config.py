@@ -3,6 +3,8 @@
 A config document has one top-level key per parameter block plus the run
 controls. Missing keys fall back to the documented defaults; unknown keys
 are rejected rather than ignored so typos cannot silently change a run.
+A key may appear once in its object: a duplicate is refused like invalid
+JSON, before any other rule, rather than letting the last one win.
 
 One rule, read from the dataclass fields, parses the document as the
 :class:`ExperimentSpec` block. A field with a default factory is a nested
@@ -29,7 +31,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from typing import Any, Dict
+from typing import Any, Dict, List, Tuple
 
 from .harness import ExperimentSpec
 
@@ -40,6 +42,16 @@ class ConfigError(ValueError):
 
 # dataclass field -> JSON key, where the two differ
 _JSON_KEYS = {"lam": "lambda"}
+
+
+def _unique_keys(pairs: List[Tuple[str, Any]]) -> Dict[str, Any]:
+    """``json.loads`` object hook: the object's dict, refusing a repeated key."""
+    obj: Dict[str, Any] = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"duplicate key: {key}")
+        obj[key] = value
+    return obj
 
 
 def _coerce(value: Any, kind: type, path: str) -> Any:
@@ -96,7 +108,7 @@ def _parse_block(raw: Dict[str, Any], block: type, prefix: str) -> Any:
 def parse_config(text: str) -> ExperimentSpec:
     """Parse a JSON document into a validated :class:`ExperimentSpec`."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc}") from None
     if not isinstance(raw, dict):

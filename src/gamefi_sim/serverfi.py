@@ -18,7 +18,6 @@ than a foregone conclusion (see ``step``).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -199,9 +198,11 @@ def step(state: ServerFiState, rng: np.random.Generator) -> Tuple:
     is the rise in ``staked``'s sum; ``by_type`` is not written. Phase (5)
     skips the churn scan (nobody can leave) unless finishing a full set,
     the costliest case, costs more than the projected NFT reward. Then it
-    works out, per missing-count, whether finishing costs that much, and
-    counts a player's missing types as those whose cumulative count
-    equals ``staked``.
+    finds ``fewest``, the smallest missing-count ``m`` whose finishing cost
+    ``lam * k * H_m`` exceeds that reward, adding ``1.0 / m`` left to right
+    as :func:`harmonic` does. The cost rises with ``m``, so a player with
+    nothing staked leaves when it misses at least ``fewest`` types, those
+    whose cumulative count equals ``staked``.
     """
     p = state.params
     econ = state.econ
@@ -265,14 +266,15 @@ def step(state: ServerFiState, rng: np.random.Generator) -> Tuple:
     credit_departed = 0.0
     if state.last_per_nft_reward is not None and n:
         payoff = state.last_per_nft_reward * p.payoff_horizon
-        # finishing the full set (cost, the table's last entry) costs the
-        # most: unless it costs more than the projected reward, nobody can leave
+        # finishing the full set (cost) costs the most: unless it costs more
+        # than the projected reward, nobody can leave
         if cost > payoff:
-            # indexed by missing-count: True where finishing the set costs
-            # more than the projected reward of the NFT it would mint
-            leave_if_missing = p.lam * p.k * _harmonic_table(p.k) > payoff
+            fewest, h = 1, 1.0
+            while not p.lam * p.k * h > payoff:
+                fewest += 1
+                h += 1.0 / fewest
             missing = (by_type == staked).sum(axis=0)
-            leave = (staked == 0) & leave_if_missing[missing]
+            leave = (staked == 0) & (missing >= fewest)
             departures = int(leave.sum())
     if departures:
         fragments_departed = int(by_type.sum(axis=0)[leave].sum())
@@ -291,16 +293,3 @@ def step(state: ServerFiState, rng: np.random.Generator) -> Tuple:
         state.draw_credit.sum(), credit_departed,
     )
 
-
-@functools.lru_cache(maxsize=None)
-def _harmonic_table(k: int) -> np.ndarray:
-    """H_0..H_k as a read-only array for vectorized remaining-cost lookups.
-
-    Cached per ``k`` (at most 64 entries); the array is shared between
-    callers, so it is frozen against writes.
-    """
-    table = np.zeros(k + 1)
-    for m in range(1, k + 1):
-        table[m] = harmonic(m)
-    table.flags.writeable = False
-    return table

@@ -148,6 +148,18 @@ class TestSimulate:
         )
         assert not out.exists()
 
+    def test_duplicate_key_exits_one_with_no_output(self, tmp_path, capsys):
+        bad = tmp_path / "dup.json"
+        bad.write_text(
+            '{"model": "retention", "iterations": 12, "repeats": 2, "repeats": 3,'
+            ' "retention": {"window": 5}, "retention": {"n0": 7}}',
+            encoding="utf-8",
+        )
+        code = simulate_with_report(bad, tmp_path / "run.csv", tmp_path / "report.json")
+        assert code == 1
+        assert capsys.readouterr() == ("", "error: duplicate key: repeats\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dup.json"]
+
     @pytest.mark.parametrize("model", ["serverfi", "retention"])
     def test_overflowing_cohort_decay_runs(self, tmp_path, model):
         path = tmp_path / "config.json"

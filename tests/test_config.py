@@ -64,6 +64,21 @@ class TestRejections:
         with pytest.raises(ConfigError, match=r"unknown key: serverfi\.beta"):
             parse_config('{"model": "serverfi", "serverfi": {"beta": 0.1}}')
 
+    @pytest.mark.parametrize(
+        "doc,key",
+        [
+            ('{"model": "retention", "repeats": 2, "repeats": 3}', "repeats"),
+            ('{"model": "serverfi", "serverfi": {"k": 4, "bogus": 1, "k": 4}}', "k"),
+            ('{"model": "retention", "retention": {"window": 5}, "retention": {"n0": 7}}',
+             "retention"),
+        ],
+        ids=["top-level", "nested", "block"],
+    )
+    def test_a_duplicate_key_is_refused_before_unknown_keys(self, doc, key):
+        with pytest.raises(ConfigError) as caught:
+            parse_config(doc)
+        assert str(caught.value) == f"duplicate key: {key}"
+
     def test_missing_model(self):
         with pytest.raises(ConfigError, match="model is required"):
             parse_config('{"iterations": 10}')

@@ -25,12 +25,18 @@ picks the winners and their totals of a full ``np.lexsort`` ranking, ties
 to the lower index, including a tie that straddles the cut and a count of
 every player.
 
+Conservation: every run of a drawn spec, serverfi or retention, the rows
+that ``retention.coast`` filled included, passes the benchmark's identity
+check, ``check_repeat`` from ``perfbench/checks.py``.
+
 Representation: after every serverfi step, ``staked`` is the per-player
 minimum of the cumulative ``by_type`` counts, every player's inventory
 lacks some type, and the recorded totals match the columns.
 """
 
 import dataclasses
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +57,12 @@ from reference import (  # noqa: E402
     step_record,
     step_records,
 )
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+if str(PERFBENCH) not in sys.path:
+    sys.path.insert(0, str(PERFBENCH))
+
+from checks import check_repeat  # noqa: E402
 
 SIGMAS = st.sampled_from([0.0, 0.1, 0.5, 1.0])
 ECON = st.builds(
@@ -148,6 +160,27 @@ FREEZING = retention_params(
 @given(params=FREEZING, econ=ECON, seed=SEEDS, iterations=st.integers(1, 80))
 def test_retention_coast_equals_the_steps(params, econ, seed, iterations):
     run_coast_against_steps(params, econ, seed, iterations)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    model=st.sampled_from(["serverfi", "retention"]),
+    serverfi_block=SERVERFI,
+    retention_block=st.one_of(retention_params(), FREEZING),
+    econ=ECON,
+    seed=SEEDS,
+    iterations=st.integers(1, 80),
+)
+def test_every_run_keeps_the_conservation_identities(
+    model, serverfi_block, retention_block, econ, seed, iterations
+):
+    spec = ExperimentSpec(
+        model=model, econ=econ, serverfi=serverfi_block, retention=retention_block,
+        iterations=iterations, repeats=1, master_seed=seed,
+    )
+    records = run_once(spec, 0)
+    event(f"{model}, one player at the end" if records[-1].active_players == 1 else model)
+    assert check_repeat(spec, records) == []
 
 
 # four values each: one with a -0.0 beside 0.0, one of positive totals

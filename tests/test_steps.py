@@ -253,16 +253,24 @@ class TestServerFiStep:
         assert state.draw_credit.tolist() == [1.7763568394002505e-15]
 
     def test_a_cost_equal_to_the_projected_reward_does_not_churn(self):
-        # one of two types missing costs 2 * 2 * H_1 = 4.0, exactly the
-        # projected reward 4.0 * 1: a player leaves only on a strict excess
-        state = one_player_state(0.01, k=2, lam=2.0, payoff_horizon=1)
-        state.last_per_nft_reward = 4.0
-        state.by_type[0, 0] = 1
-        state.fragments_held = 1
-        record = step_record(serverfi, serverfi.step(state, derive_stream(0, 0)))
-        assert not should_churn(ServerFiPlayer(0, 0.01, counts=[1, 0]), 4.0, state.params)
-        assert record.extra["draws"] == 0
-        assert record.departures == 0 and state.ids.tolist() == [0]
+        # m of k types missing costs 2 * k * H_m; at exactly that projected
+        # reward (horizon 1) the player stays, one ulp below it the player
+        # leaves. At m = k the cost is the full set's, so the exact reward
+        # skips the churn scan and the ulp below runs it.
+        for k in (1, 2, 8, 64):
+            for m in range(1, k + 1):
+                tie = 2.0 * k * serverfi.harmonic(m)
+                for reward, leaves in ((tie, False), (math.nextafter(tie, 0), True)):
+                    state = one_player_state(0.01, k=k, lam=2.0, payoff_horizon=1)
+                    state.last_per_nft_reward = reward
+                    state.by_type[: k - m, 0] = 1
+                    state.fragments_held = k - m
+                    player = ServerFiPlayer(0, 0.01, counts=[1] * (k - m) + [0] * m)
+                    assert should_churn(player, reward, state.params) is leaves, (k, m)
+                    record = step_record(serverfi, serverfi.step(state, derive_stream(0, 0)))
+                    assert record.extra["draws"] == 0, (k, m)
+                    assert record.departures == int(leaves), (k, m, reward)
+                    assert state.ids.tolist() == ([] if leaves else [0]), (k, m, reward)
 
 
 # Digests of whole serverfi runs, frozen from the row-major counts and the
